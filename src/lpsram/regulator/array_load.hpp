@@ -12,19 +12,33 @@
 //    crossover current. This is the CS5 mechanism: with 64 weak cells the
 //    extra demand degrades Vreg further, so smaller defect resistances
 //    already cause retention faults (paper Section IV.B, last paragraph).
+//
+// The per-cell I-V tables depend only on the nominal cell at one (corner,
+// temperature), so they live in a process-wide registry shared by every
+// model: each distinct table is built once per process, never mutated and
+// never freed (see DESIGN.md, concurrency model).
 #pragma once
 
+#include <cstddef>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "lpsram/cell/core_cell.hpp"
 #include "lpsram/spice/netlist.hpp"
 
 namespace lpsram {
 
+// One immutable per-cell I-V table of the registry (array_load.cpp).
+struct ArrayLoadTable;
+
 class ArrayLoadModel {
  public:
+  // Tabulation grid: kGridPoints supply voltages evenly spaced over
+  // [0, kGridMax] V. 2.5 mV spacing: fine enough that the piecewise-linear
+  // slope changes stay below Newton's damping and never cause limit cycling
+  // in the DC solver.
+  static constexpr int kGridPoints = 541;
+  static constexpr double kGridMax = 1.35;
+
   struct Options {
     std::size_t total_cells = 256 * 1024;  // 4Kx64 reference block
     std::size_t weak_cells = 0;            // cells affected by variation
@@ -52,19 +66,18 @@ class ArrayLoadModel {
   const Options& options() const noexcept { return options_; }
 
  private:
-  struct Table {
-    std::vector<double> v;       // grid
-    std::vector<double> i_leak;  // per-cell leakage on grid
-    std::vector<double> i_meta;  // per-cell crossover current on grid
-  };
-  const Table& table_for(double temp_c) const;
+  const ArrayLoadTable& table_for(double temp_c) const;
 
-  Technology tech_;
-  Corner corner_;
   Options options_;
   CoreCell cell_;
-  // Lazily built per-temperature grids (keyed by rounded temperature).
-  mutable std::map<int, Table> tables_;
+  // Registry tables this model has looked up, keyed by rounded temperature;
+  // the first temperature seen under a key picks the table. Not
+  // thread-safe, like the rest of the model: one instance per solver.
+  mutable std::map<int, const ArrayLoadTable*> tables_;
 };
+
+// Number of tables the process-wide registry has built so far (diagnostic;
+// one per distinct key, however many models share it).
+std::size_t array_load_tables_built() noexcept;
 
 }  // namespace lpsram

@@ -260,12 +260,12 @@ class RemoteWorker {
     // whole batch up front, a single thread computes lazily so heartbeats
     // interleave with long solves.
     std::vector<std::vector<std::uint8_t>> computed(indices.size());
-    std::vector<bool> precomputed(indices.size(), false);
+    std::vector<std::uint8_t> precomputed(indices.size(), 0);
     if (executor_->threads() > 1 && indices.size() > 1) {
       executor_->run(indices.size(), [&](std::size_t j, int slot) {
         if (campaign_.find_result(key_of_(indices[j])) != nullptr) return;
         computed[j] = task_fn_(indices[j], slot);
-        precomputed[j] = true;
+        precomputed[j] = 1;
       });
     }
 

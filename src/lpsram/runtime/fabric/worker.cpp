@@ -71,12 +71,12 @@ WorkerReport run_fabric_worker(MessageChannel& channel,
     // either way. (threads == 1 computes lazily in the commit loop instead,
     // so heartbeats interleave with long solves.)
     std::vector<std::vector<std::uint8_t>> computed(indices.size());
-    std::vector<bool> precomputed(indices.size(), false);
+    std::vector<std::uint8_t> precomputed(indices.size(), 0);
     if (executor.threads() > 1 && indices.size() > 1) {
       executor.run(indices.size(), [&](std::size_t j, int slot) {
         if (campaign.find_result(key_of(indices[j])) != nullptr) return;
         computed[j] = task_fn(indices[j], slot);
-        precomputed[j] = true;
+        precomputed[j] = 1;
       });
     }
 

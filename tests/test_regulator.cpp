@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
+#include "lpsram/cell/batch_vtc.hpp"
+#include "lpsram/cell/snm.hpp"
 #include "lpsram/regulator/characterize.hpp"
 #include "lpsram/util/error.hpp"
 
@@ -14,6 +19,11 @@ namespace {
 const Technology& tech() {
   static const Technology t = Technology::lp40nm();
   return t;
+}
+
+// Supply voltage of grid point k of the array-load tables.
+double grid_voltage(int k) {
+  return ArrayLoadModel::kGridMax * k / (ArrayLoadModel::kGridPoints - 1);
 }
 
 // ---------- defect site table ----------------------------------------------------
@@ -343,6 +353,88 @@ TEST(ArrayLoad, CrossoverExceedsLeakage) {
   const ArrayLoadModel model(tech(), Corner::Typical,
                              ArrayLoadModel::Options{});
   EXPECT_GT(model.cell_crossover(0.5, 25.0), model.cell_leakage(0.5, 25.0));
+}
+
+TEST(ArrayLoad, GridCurrentIsTheDirectCellSolve) {
+  // The shared table holds exactly the per-cell hold current a direct solve
+  // gives, under either cell kernel. total_cells is a power of two, so
+  // current / total_cells recovers the table entry bit for bit.
+  for (const CellKernelKind kind :
+       {CellKernelKind::Scalar, CellKernelKind::Batched}) {
+    const ScopedCellKernelDefault scope(kind);
+    for (const Corner corner : {Corner::Typical, Corner::FastNSlowP}) {
+      const CoreCell cell(tech(), CellVariation{}, corner);
+      const ArrayLoadModel model(tech(), corner, ArrayLoadModel::Options{});
+      const double cells = static_cast<double>(model.options().total_cells);
+      for (const double temp : {-30.0, 125.0}) {
+        for (int k = 0; k < ArrayLoadModel::kGridPoints; ++k) {
+          const double v = grid_voltage(k);
+          double expected = 0.0;
+          if (k > 0) {
+            const HoldState s = hold_equilibrium(cell, StoredBit::One, v, temp);
+            expected =
+                std::max(0.0, cell.supply_current(s.v_s, s.v_sb, v, temp));
+          }
+          ASSERT_EQ(key_bits(model.current(v, temp) / cells),
+                    key_bits(expected))
+              << "kernel " << int(kind) << ", " << corner_name(corner) << ", "
+              << temp << " C, grid point " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(ArrayLoad, RegulatorsInSeparateScopesAgreeBitForBit) {
+  const auto solve = [] {
+    VoltageRegulator reg(tech(), Corner::FastNSlowP);
+    reg.set_vdd(1.0);
+    reg.select_vref(VrefLevel::V074);
+    reg.inject_defect(1, 1e6);
+    return reg.vreg_dc(125.0);
+  };
+  const double first = solve();
+  const std::size_t built = array_load_tables_built();
+  const double second = solve();
+  EXPECT_EQ(key_bits(second), key_bits(first));
+  // The second regulator reuses the first one's table.
+  EXPECT_EQ(array_load_tables_built(), built);
+}
+
+TEST(ArrayLoad, ConcurrentFirstTouchBuildsEachTableOnce) {
+  // Temperatures no other test here uses, so all four keys are new. Threads
+  // t and t + 4 share a key; every thread starts evaluating at once.
+  constexpr int kThreads = 8;
+  constexpr Corner kCorners[] = {Corner::Typical, Corner::SlowNFastP};
+  constexpr double kTemps[] = {41.5, 83.25};
+  const auto corner_of = [&](int t) { return kCorners[t % 2]; };
+  const auto temp_of = [&](int t) { return kTemps[(t / 2) % 2]; };
+
+  const std::size_t before = array_load_tables_built();
+  std::atomic<int> ready{0};
+  std::vector<std::vector<double>> currents(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ArrayLoadModel model(tech(), corner_of(t),
+                                 ArrayLoadModel::Options{});
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int k = 0; k < ArrayLoadModel::kGridPoints; ++k)
+        currents[t].push_back(model.current(grid_voltage(k), temp_of(t)));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(array_load_tables_built() - before, 4u);
+
+  for (int t = 0; t < kThreads; ++t) {
+    const ArrayLoadModel fresh(tech(), corner_of(t), ArrayLoadModel::Options{});
+    for (int k = 0; k < ArrayLoadModel::kGridPoints; ++k)
+      ASSERT_EQ(key_bits(currents[t][k]),
+                key_bits(fresh.current(grid_voltage(k), temp_of(t))))
+          << "thread " << t << ", grid point " << k;
+  }
+  EXPECT_EQ(array_load_tables_built() - before, 4u);
 }
 
 TEST(ArrayLoad, WeakCellsRequireDrv) {
