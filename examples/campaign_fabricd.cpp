@@ -61,30 +61,64 @@ namespace {
 
 using fabricd::synth_payload;
 
-int run_job(const std::string& root, const FabricJob& job, int workers,
+// One job through the fabric: a forked fleet, or — when the daemon listens —
+// whichever remote fabric_worker processes connect. The daemon owns the
+// lease table either way.
+int run_job(TcpListener& listener, const std::string& root,
+            const FabricJob& job, int workers, const std::string& token,
             const CancelToken* drain) {
-  FabricOptions options;
-  options.dir = root + "/" + job.name;
-  options.workers = workers;
-  options.worker_threads = 1;
-  options.lease_span = 4;
-  options.lease_timeout_s = 10.0;
-  options.heartbeat_interval_s = 0.25;
-  options.salt = mix64(job.seed);
-  options.fingerprint = fold_key(fold_key(0x0fabd, job.seed), job.tasks);
-  options.drain = drain;
+  FabricSweepOptions sweep;
+  sweep.dir = root + "/" + job.name;
+  sweep.lease_span = 4;
+  sweep.lease_timeout_s = 10.0;
+  sweep.heartbeat_interval_s = 0.25;
+  sweep.salt = fabricd::synth_salt(job.seed);
+  sweep.fingerprint = fabricd::synth_fingerprint(job.seed, job.tasks);
+  sweep.drain = drain;
 
   const std::uint64_t seed = job.seed;
+  const auto key_of = [seed](std::uint64_t index) {
+    return fabricd::synth_key(seed, index);
+  };
   FabricReport report;
+  std::string net;  // transport counters, remote fleets only
   try {
-    report = run_fabric(
-        options, job.tasks,
-        [seed](std::uint64_t index) { return fold_key(seed, index); },
-        [seed](std::uint64_t index, int) { return synth_payload(seed, index); });
+    if (listener.is_open()) {
+      NetFabricOptions options;
+      static_cast<FabricSweepOptions&>(options) = sweep;
+      options.token = token;
+      const NetFabricReport r =
+          run_net_fabric(listener, options, job.tasks, key_of);
+      report = r.fabric;
+      char buf[256];
+      std::snprintf(
+          buf, sizeof(buf),
+          " | net: %llu conns, %llu handshakes, %llu drops, %llu resumes, "
+          "%llu refused, %llu bytes",
+          static_cast<unsigned long long>(r.connections_accepted),
+          static_cast<unsigned long long>(r.handshakes_completed),
+          static_cast<unsigned long long>(r.connections_dropped),
+          static_cast<unsigned long long>(r.lease_resumes),
+          static_cast<unsigned long long>(r.refusals_protocol +
+                                          r.refusals_manifest +
+                                          r.refusals_auth + r.refusals_busy),
+          static_cast<unsigned long long>(r.shard_bytes_received));
+      net = buf;
+    } else {
+      FabricOptions options;
+      static_cast<FabricSweepOptions&>(options) = sweep;
+      options.workers = workers;
+      options.worker_threads = 1;
+      report = run_fabric(options, job.tasks, key_of,
+                          [seed](std::uint64_t index, int) {
+                            return synth_payload(seed, index);
+                          });
+    }
   } catch (const Error& err) {
-    // Job-scoped failure (all workers killed, a corrupt shard, ...): the
+    // Job-scoped failure (every worker lost, a corrupt shard, ...): the
     // daemon stays up and the directory stays resumable — rerunning the
-    // same job name against the same --dir picks the shards back up.
+    // same job against the same --dir, with a fresh fleet, picks the lease
+    // log and shard journals back up.
     std::printf("[fabricd] job %-12s FAILED: %s\n", job.name.c_str(),
                 err.what());
     return 1;
@@ -92,7 +126,7 @@ int run_job(const std::string& root, const FabricJob& job, int workers,
 
   std::printf(
       "[fabricd] job %-12s %s: %llu/%llu tasks (%llu recovered, %llu run, "
-      "%llu dup) | %llu leases, %llu expired, %llu workers died%s\n",
+      "%llu dup) | %llu leases, %llu expired, %llu workers died%s%s\n",
       job.name.c_str(), report.complete ? "complete" : "drained",
       static_cast<unsigned long long>(report.tasks_recovered +
                                       report.tasks_executed),
@@ -102,67 +136,9 @@ int run_job(const std::string& root, const FabricJob& job, int workers,
       static_cast<unsigned long long>(report.duplicates),
       static_cast<unsigned long long>(report.leases_issued),
       static_cast<unsigned long long>(report.leases_expired),
-      static_cast<unsigned long long>(report.workers_died),
-      report.complete ? (" -> " + options.merged_path()).c_str() : "");
+      static_cast<unsigned long long>(report.workers_died), net.c_str(),
+      report.complete ? (" -> " + sweep.merged_path()).c_str() : "");
   return report.complete ? 0 : 1;
-}
-
-// --listen mode: same job, remote fleet. The daemon owns the listener and the
-// lease table; fabric_worker processes (possibly on other hosts) execute the
-// sweep and replicate their shard journals back over TCP.
-int run_net_job(TcpListener& listener, const std::string& root,
-                const FabricJob& job, const std::string& token,
-                const CancelToken* drain) {
-  NetFabricOptions options;
-  options.dir = root + "/" + job.name;
-  options.token = token;
-  options.lease_span = 4;
-  options.lease_timeout_s = 10.0;
-  options.heartbeat_interval_s = 0.25;
-  options.salt = fabricd::synth_salt(job.seed);
-  options.fingerprint = fabricd::synth_fingerprint(job.seed, job.tasks);
-  options.drain = drain;
-
-  const std::uint64_t seed = job.seed;
-  NetFabricReport report;
-  try {
-    report = run_net_fabric(listener, options, job.tasks,
-                            [seed](std::uint64_t index) {
-                              return fabricd::synth_key(seed, index);
-                            });
-  } catch (const Error& err) {
-    // Same contract as the forked fleet: a failed job (fleet lost, corrupt
-    // shard replica, ...) leaves the directory resumable — rerun the job
-    // against the same --dir with a fresh fleet and it picks the lease log
-    // and shard replicas back up.
-    std::printf("[fabricd] job %-12s FAILED: %s\n", job.name.c_str(),
-                err.what());
-    return 1;
-  }
-
-  std::printf(
-      "[fabricd] job %-12s %s: %llu/%llu tasks (%llu recovered, %llu run, "
-      "%llu dup) | %llu leases, %llu expired | net: %llu conns, %llu "
-      "handshakes, %llu drops, %llu resumes, %llu refused, %llu bytes%s\n",
-      job.name.c_str(), report.fabric.complete ? "complete" : "drained",
-      static_cast<unsigned long long>(report.fabric.tasks_recovered +
-                                      report.fabric.tasks_executed),
-      static_cast<unsigned long long>(report.fabric.tasks_total),
-      static_cast<unsigned long long>(report.fabric.tasks_recovered),
-      static_cast<unsigned long long>(report.fabric.tasks_executed),
-      static_cast<unsigned long long>(report.fabric.duplicates),
-      static_cast<unsigned long long>(report.fabric.leases_issued),
-      static_cast<unsigned long long>(report.fabric.leases_expired),
-      static_cast<unsigned long long>(report.connections_accepted),
-      static_cast<unsigned long long>(report.handshakes_completed),
-      static_cast<unsigned long long>(report.connections_dropped),
-      static_cast<unsigned long long>(report.lease_resumes),
-      static_cast<unsigned long long>(
-          report.refusals_protocol + report.refusals_manifest +
-          report.refusals_auth + report.refusals_busy),
-      static_cast<unsigned long long>(report.shard_bytes_received),
-      report.fabric.complete ? (" -> " + options.merged_path()).c_str() : "");
-  return report.fabric.complete ? 0 : 1;
 }
 
 #if defined(FABRICD_HAVE_FORK)
@@ -435,9 +411,7 @@ int main(int argc, char** argv) {
   std::uint64_t served = 0;
   FabricJob job;
   while (!drain.cancelled() && queue.pop_for(&job, 0.25)) {
-    failures += listener.is_open()
-                    ? run_net_job(listener, dir, job, token, &drain)
-                    : run_job(dir, job, workers, &drain);
+    failures += run_job(listener, dir, job, workers, token, &drain);
     ++served;
   }
   if (drain.cancelled())

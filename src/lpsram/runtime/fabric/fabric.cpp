@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
-#include <unordered_map>
 
-#include "lpsram/runtime/campaign.hpp"
+#include "lpsram/runtime/fabric/net/remote_worker.hpp"
 #include "lpsram/runtime/parallel.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -34,9 +32,6 @@ std::string coordinator_log_path(const std::string& dir) {
 std::string worker_pid_path(const std::string& dir, int worker_id) {
   return dir + "/worker-" + std::to_string(worker_id) + ".pid";
 }
-std::string merged_journal_path(const std::string& dir) {
-  return dir + "/merged.journal";
-}
 
 #ifdef LPSRAM_HAVE_FABRIC
 
@@ -44,18 +39,19 @@ namespace {
 
 // Reaps `pid`, escalating to SIGKILL if it has not exited within
 // `patience_s` (a worker can legitimately lag by one wedge/solve before it
-// notices the closed channel).
-void reap(long pid, double patience_s) {
+// notices the closed channel). False when the worker did not exit cleanly.
+bool reap(long pid, double patience_s) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(patience_s);
   for (;;) {
     int status = 0;
     const pid_t r = ::waitpid(static_cast<pid_t>(pid), &status, WNOHANG);
-    if (r != 0) return;  // reaped, or ECHILD (someone else got it)
+    if (r < 0) return true;  // ECHILD: someone else reaped it
+    if (r > 0) return WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (std::chrono::steady_clock::now() >= deadline) {
       ::kill(static_cast<pid_t>(pid), SIGKILL);
       ::waitpid(static_cast<pid_t>(pid), &status, 0);
-      return;
+      return false;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -98,39 +94,6 @@ FabricReport run_fabric(const FabricOptions& options, std::uint64_t count,
     throw InvalidArgument("fabric: journal directory required");
   fs::create_directories(options.dir);
 
-  // Recover whatever earlier incarnations already committed: scan every
-  // shard journal and map committed task keys back to sweep indices. This is
-  // what makes both halves of the crash envelope survivable — the shard
-  // files, not any process, are the source of truth.
-  std::unordered_map<std::uint64_t, std::uint64_t> index_of_key;
-  std::vector<std::uint64_t> keys_in_index_order;
-  keys_in_index_order.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t key = key_of(i);
-    keys_in_index_order.push_back(key);
-    index_of_key[key] = i;
-  }
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> recovered;
-  std::vector<std::string> shard_paths;
-  for (int w = 0; w < options.workers; ++w) {
-    const std::string path = shard_journal_path(options.dir, w);
-    shard_paths.push_back(path);
-    if (!fs::exists(path)) continue;
-    const ShardSnapshot snapshot = read_campaign_snapshot(path);
-    const auto it = snapshot.manifests.find(options.salt);
-    if (it != snapshot.manifests.end() && it->second != options.fingerprint)
-      throw InvalidArgument(
-          "fabric: shard journal " + path +
-          " was recorded for a different sweep configuration");
-    for (const auto& [key, task] : snapshot.tasks) {
-      const auto idx = index_of_key.find(key);
-      if (idx == index_of_key.end())
-        throw InvalidArgument("fabric: shard journal " + path +
-                              " holds a task key outside this sweep");
-      recovered.emplace(idx->second, task.payload);
-    }
-  }
-
   const int threads = options.worker_threads > 0
                           ? options.worker_threads
                           : SweepExecutor::threads_per_process(options.workers);
@@ -157,7 +120,7 @@ FabricReport run_fabric(const FabricOptions& options, std::uint64_t count,
         channels[static_cast<std::size_t>(o)].first.close();
         if (o != w) channels[static_cast<std::size_t>(o)].second.close();
       }
-      WorkerOptions wopt;
+      RemoteWorkerOptions wopt;
       wopt.worker_id = w;
       wopt.shard_journal = shard_journal_path(options.dir, w);
       wopt.heartbeat_interval_s = options.heartbeat_interval_s;
@@ -167,7 +130,7 @@ FabricReport run_fabric(const FabricOptions& options, std::uint64_t count,
       if (static_cast<std::size_t>(w) < options.chaos.size())
         wopt.chaos = options.chaos[static_cast<std::size_t>(w)];
       try {
-        run_fabric_worker(channels[static_cast<std::size_t>(w)].second, wopt,
+        run_forked_worker(channels[static_cast<std::size_t>(w)].second, wopt,
                           key_of, task_fn);
       } catch (const JournalCrash&) {
         std::_Exit(10);  // injected shard-journal death
@@ -182,51 +145,28 @@ FabricReport run_fabric(const FabricOptions& options, std::uint64_t count,
     pidfile << pid << "\n";
   }
 
-  CoordinatorOptions copt;
-  copt.lease_log = coordinator_log_path(options.dir);
-  copt.salt = options.salt;
-  copt.fingerprint = options.fingerprint;
-  copt.task_count = count;
-  copt.leases.span = options.lease_span;
-  copt.leases.lease_timeout_s = options.lease_timeout_s;
-  copt.leases.heartbeat_interval_s = options.heartbeat_interval_s;
-  copt.leases.backoff_initial_s = options.backoff_initial_s;
-  copt.leases.backoff_max_s = options.backoff_max_s;
-  copt.drain = options.drain;
+  // The children wait for their Welcome, so the server's recovery scan of
+  // the shard journals runs before any of them opens its own.
+  NetFabricOptions net;
+  static_cast<FabricSweepOptions&>(net) = options;
+  net.max_workers = options.workers;
+  std::vector<MessageChannel> forked;
+  forked.reserve(channels.size());
+  for (auto& pair : channels) forked.push_back(std::move(pair.first));
+  TcpListener no_listener;
+  FabricReport report =
+      run_net_fabric(no_listener, net, count, key_of, std::move(forked)).fabric;
 
-  std::vector<WorkerEndpoint> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(options.workers));
-  for (int w = 0; w < options.workers; ++w) {
-    WorkerEndpoint ep;
-    ep.worker_id = w;
-    ep.pid = fleet.pids[static_cast<std::size_t>(w)];
-    ep.channel = std::move(channels[static_cast<std::size_t>(w)].first);
-    endpoints.push_back(std::move(ep));
-  }
-
-  Coordinator coordinator(copt, std::move(endpoints), std::move(recovered));
-  FabricReport report = coordinator.run();
-  report.tasks_total = count;
-
-  // Orderly teardown: the coordinator already broadcast kMsgShutdown; give
-  // each worker a moment to exit on its own before escalating.
-  for (const long pid : fleet.pids) reap(pid, /*patience_s=*/10.0);
+  // Orderly teardown: the server already sent kMsgShutdown; give each
+  // worker a moment to exit on its own before escalating. The server counted
+  // the deaths it saw mid-sweep; one that raced the last commit shows only
+  // in the exit status.
+  std::uint64_t unclean = 0;
+  for (const long pid : fleet.pids)
+    if (!reap(pid, /*patience_s=*/10.0)) ++unclean;
+  report.workers_died = std::max(report.workers_died, unclean);
   fleet.killed = true;  // all reaped; the guard has nothing left to do
   fleet.cleanup_pidfiles();
-
-  if (report.complete) {
-    std::vector<std::string> existing;
-    for (const std::string& path : shard_paths)
-      if (fs::exists(path)) existing.push_back(path);
-    std::uint64_t merge_duplicates = 0;
-    const std::size_t merged = merge_shard_journals(
-        options.merged_path(), existing, keys_in_index_order,
-        &merge_duplicates);
-    // Wire-level and merge-level counts see the same re-commits from two
-    // vantage points; report whichever saw more.
-    report.duplicates = std::max(report.duplicates, merge_duplicates);
-    coordinator.log_merged(merged, merge_duplicates);
-  }
   return report;
 }
 

@@ -7,9 +7,14 @@
 // options.merged_path() whose replay is bit-identical to an uninterrupted
 // single-process run of the same sweep.
 //
+// The forked fleet is the TCP fleet without the network: each child runs
+// run_forked_worker over a socketpair it inherited, and this process runs
+// run_net_fabric with no listener and the parent ends of those socketpairs
+// (see net/server.hpp, "Forked workers").
+//
 // Crash envelope:
 //   * worker dies (SIGKILL, OOM, chaos _Exit, shard-journal crash): its
-//     channel EOFs, its lease re-queues, the sweep finishes on the
+//     socketpair EOFs, its lease re-queues, the sweep finishes on the
 //     survivors; if every worker dies, FabricWorkersLost is thrown — and a
 //     rerun of run_fabric with the same options resumes from the shard
 //     journals, re-executing only uncommitted tasks;
@@ -28,7 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "lpsram/runtime/fabric/coordinator.hpp"
+#include "lpsram/runtime/fabric/lease_core.hpp"
+#include "lpsram/runtime/fabric/net/server.hpp"
 #include "lpsram/runtime/fabric/worker.hpp"
 
 namespace lpsram::fabric {
@@ -37,30 +43,15 @@ namespace lpsram::fabric {
 std::string shard_journal_path(const std::string& dir, int worker_id);
 std::string coordinator_log_path(const std::string& dir);
 std::string worker_pid_path(const std::string& dir, int worker_id);
-std::string merged_journal_path(const std::string& dir);
 
-struct FabricOptions {
-  std::string dir;          // journal directory, created if absent
-  std::string merged_out;   // merged journal path; empty = dir/merged.journal
+struct FabricOptions : FabricSweepOptions {
   int workers = 1;
   // Executor threads inside each worker; 0 = split the host budget evenly
   // (SweepExecutor::threads_per_process(workers)).
   int worker_threads = 1;
-  std::uint64_t lease_span = 4;
-  double lease_timeout_s = 5.0;      // must exceed the slowest single task
-  double heartbeat_interval_s = 0.5;
-  double backoff_initial_s = 0.05;
-  double backoff_max_s = 2.0;
-  std::uint64_t salt = 0;            // sweep manifest (same values the
-  std::uint64_t fingerprint = 0;     // single-process campaign would bind)
-  const CancelToken* drain = nullptr;
   // Per-worker-id fault injection for the kill matrices; entries beyond
   // workers are ignored, missing entries mean no chaos.
   std::vector<WorkerChaos> chaos;
-
-  std::string merged_path() const {
-    return merged_out.empty() ? merged_journal_path(dir) : merged_out;
-  }
 };
 
 // Runs the sweep across a forked worker fleet; blocks until every task is

@@ -2,11 +2,11 @@
 // range [0, count) is sharded into fixed-span leases; each lease moves
 // through Pending -> Leased -> Completed, with two robustness edges:
 //
-//   * expiry: a Leased lease whose deadline passes (no heartbeat, TaskDone
+//   * expiry: a Leased lease whose deadline passes (no heartbeat, result
 //     or LeaseDone from its worker) drops back to Pending behind an
 //     exponential-backoff gate, so a straggler is re-issued — but not
 //     hot-looped — while the original worker may still be grinding;
-//   * release: a worker that dies (channel EOF) returns its lease to
+//   * release: a worker that dies (forked worker's EOF) returns its lease to
 //     Pending immediately, without backoff — death is definitive in a way a
 //     missed heartbeat is not.
 //

@@ -3,18 +3,25 @@
 #include <string>
 #include <utility>
 
+#include "lpsram/runtime/fabric/fabric.hpp"
+
 namespace lpsram::fabric {
 
 LeaseCore::LeaseCore(
-    CoordinatorOptions options,
+    const FabricSweepOptions& options, std::uint64_t task_count,
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> recovered)
-    : options_(std::move(options)),
-      table_(options_.task_count, options_.leases) {
+    : options_(options),
+      task_count_(task_count),
+      table_(task_count,
+             LeaseTableOptions{options.lease_span, options.lease_timeout_s,
+                               options.heartbeat_interval_s,
+                               options.backoff_initial_s,
+                               options.backoff_max_s}) {
   replay_lease_log();
   lease_completion_logged_.assign(table_.lease_count(), false);
 
   for (auto& [index, payload] : recovered) {
-    if (index >= options_.task_count)
+    if (index >= task_count_)
       throw InvalidArgument("fabric: recovered task index out of range");
     payloads_[index] = std::move(payload);
     const std::int64_t completed = table_.note_task_done(index);
@@ -22,16 +29,12 @@ LeaseCore::LeaseCore(
       lease_completion_logged_[static_cast<std::size_t>(completed)] = true;
     ++report_.tasks_recovered;
   }
-  report_.tasks_total = options_.task_count;
-}
-
-void LeaseCore::log(std::uint8_t type,
-                    const std::vector<std::uint8_t>& payload) {
-  log_.append(type, payload);
+  report_.tasks_total = task_count_;
 }
 
 void LeaseCore::replay_lease_log() {
-  const JournalReplay replay = replay_journal(options_.lease_log);
+  const std::string path = coordinator_log_path(options_.dir);
+  const JournalReplay replay = replay_journal(path);
   bool have_manifest = false;
   for (const JournalRecord& record : replay.records) {
     if (record.type != kFabLogManifest) continue;
@@ -41,20 +44,20 @@ void LeaseCore::replay_lease_log() {
     const std::uint64_t tasks = r.u64();
     const std::uint64_t span = r.u64();
     if (salt != options_.salt || fp != options_.fingerprint ||
-        tasks != options_.task_count || span != options_.leases.span)
+        tasks != task_count_ || span != options_.lease_span)
       throw InvalidArgument(
           "fabric: lease log was recorded for a different sweep "
           "(manifest mismatch) — refusing to resume against it");
     have_manifest = true;
   }
-  log_.open(options_.lease_log, replay.valid_bytes);
+  log_.open(path, replay.valid_bytes);
   if (!have_manifest) {
     PayloadWriter w;
     w.u64(options_.salt);
     w.u64(options_.fingerprint);
-    w.u64(options_.task_count);
-    w.u64(options_.leases.span);
-    log(kFabLogManifest, w.take());
+    w.u64(task_count_);
+    w.u64(options_.lease_span);
+    log_.append(kFabLogManifest, w.take());
   }
 }
 
@@ -63,7 +66,7 @@ void LeaseCore::log_lease_issued(std::uint64_t lease, int worker) {
   rec.u64(lease);
   rec.u32(static_cast<std::uint32_t>(worker));
   rec.u64(table_.lease(lease).grants);
-  log(kFabLogLeaseIssued, rec.take());
+  log_.append(kFabLogLeaseIssued, rec.take());
 }
 
 std::int64_t LeaseCore::grant(int worker, double now,
@@ -91,8 +94,8 @@ std::int64_t LeaseCore::regrant_held(int worker, double now,
 
 bool LeaseCore::commit(std::uint64_t index, std::uint64_t key,
                        std::vector<std::uint8_t> payload) {
-  if (index >= options_.task_count)
-    throw Error("fabric: TaskDone index out of range");
+  if (index >= task_count_)
+    throw Error("fabric: committed task index out of range");
   if (table_.task_done(index)) {
     // Straggler re-commit. First commit won; this one must be
     // byte-identical or the determinism contract is broken and the merged
@@ -109,7 +112,7 @@ bool LeaseCore::commit(std::uint64_t index, std::uint64_t key,
   PayloadWriter rec;
   rec.u64(index);
   rec.u64(key);
-  log(kFabLogTaskCommitted, rec.take());
+  log_.append(kFabLogTaskCommitted, rec.take());
   ++report_.tasks_executed;
   const std::int64_t completed = table_.note_task_done(index);
   if (completed >= 0 &&
@@ -117,7 +120,7 @@ bool LeaseCore::commit(std::uint64_t index, std::uint64_t key,
     lease_completion_logged_[static_cast<std::size_t>(completed)] = true;
     PayloadWriter done;
     done.u64(static_cast<std::uint64_t>(completed));
-    log(kFabLogLeaseCompleted, done.take());
+    log_.append(kFabLogLeaseCompleted, done.take());
   }
   return true;
 }
@@ -134,7 +137,7 @@ void LeaseCore::expire(double now) {
     ++report_.leases_expired;
     PayloadWriter rec;
     rec.u64(id);
-    log(kFabLogLeaseExpired, rec.take());
+    log_.append(kFabLogLeaseExpired, rec.take());
     // The silent holder keeps its busy mark with its transport: it gets no
     // further grants until it speaks again or its connection dies.
   }
@@ -144,12 +147,12 @@ void LeaseCore::release_worker(int worker_id) {
   ++report_.workers_died;
   PayloadWriter rec;
   rec.u32(static_cast<std::uint32_t>(worker_id));
-  log(kFabLogWorkerDead, rec.take());
+  log_.append(kFabLogWorkerDead, rec.take());
   // Death is definitive: the lease re-queues immediately, no backoff.
   for (const std::uint64_t id : table_.release_worker(worker_id)) {
     PayloadWriter req;
     req.u64(id);
-    log(kFabLogLeaseExpired, req.take());
+    log_.append(kFabLogLeaseExpired, req.take());
   }
 }
 
@@ -157,7 +160,7 @@ void LeaseCore::log_merged(std::uint64_t tasks, std::uint64_t duplicates) {
   PayloadWriter rec;
   rec.u64(tasks);
   rec.u64(duplicates);
-  log(kFabLogMerged, rec.take());
+  log_.append(kFabLogMerged, rec.take());
 }
 
 }  // namespace lpsram::fabric

@@ -2,15 +2,11 @@
 // durable lease log, duplicate-commit reconciliation and the run statistics,
 // with no opinion about how worker messages arrive.
 //
-// Two transports drive a LeaseCore today:
-//   * Coordinator (coordinator.hpp) — the single-host fork+socketpair fleet;
-//   * NetServer (net/server.hpp) — remote TCP workers with authenticated
-//     reconnects and resumable shard upload.
-// Both see exactly the same semantics because both call the same methods:
-// grant/regrant, commit (first-commit-wins, later commits verified
-// byte-identical), liveness refresh, expiry with exponential backoff, and
-// definitive release on worker death. The lease log written here is what a
-// restarted coordinator — over either transport — replays for manifest
+// The fabric server (net/server.hpp) drives it for forked and TCP workers
+// alike through the same methods: grant/regrant, commit (first-commit-wins,
+// later commits verified byte-identical), liveness refresh, expiry with
+// exponential backoff, and definitive release on worker death. The lease log
+// written here is what a restarted coordinator replays for manifest
 // verification before rescanning the shard journals.
 #pragma once
 
@@ -43,16 +39,25 @@ class FabricWorkersLost : public Error {
   explicit FabricWorkersLost(const std::string& what) : Error(what) {}
 };
 
-struct CoordinatorOptions {
-  std::string lease_log;  // path of the coordinator's own journal
-  std::uint64_t salt = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t task_count = 0;
-  LeaseTableOptions leases;
+// What every fabric run is configured with, however its workers arrive.
+struct FabricSweepOptions {
+  std::string dir;         // shard + lease-log directory, created if absent
+  std::string merged_out;  // merged journal path; empty = dir/merged.journal
+  std::uint64_t lease_span = 4;
+  double lease_timeout_s = 5.0;  // must exceed the slowest single task
+  double heartbeat_interval_s = 0.5;
+  double backoff_initial_s = 0.05;
+  double backoff_max_s = 2.0;
+  std::uint64_t salt = 0;  // sweep manifest (same values the single-process
+  std::uint64_t fingerprint = 0;  // campaign would bind) — refused on mismatch
   // Optional graceful drain: once cancelled, no new leases are issued,
-  // in-flight leases finish, workers get kMsgShutdown, run() returns with
-  // complete == false (unless the last lease happened to finish the sweep).
+  // in-flight leases finish, workers get kMsgShutdown, and the run returns
+  // with complete == false (unless the last lease happened to finish it).
   const CancelToken* drain = nullptr;
+
+  std::string merged_path() const {
+    return merged_out.empty() ? dir + "/merged.journal" : merged_out;
+  }
 };
 
 struct FabricReport {
@@ -72,9 +77,10 @@ class LeaseCore {
   // `recovered` maps task index -> committed payload found in the shard
   // journals before this run (see read_campaign_snapshot); those indices are
   // marked done up front and only gaps are leased. Opens/replays the lease
-  // log: a prior log whose manifest disagrees with `options` is refused
-  // (InvalidArgument) instead of silently mixing sweeps.
-  LeaseCore(CoordinatorOptions options,
+  // log (coordinator_log_path(options.dir)): a prior log whose manifest
+  // disagrees with `options` and `task_count` is refused (InvalidArgument)
+  // instead of silently mixing sweeps.
+  LeaseCore(const FabricSweepOptions& options, std::uint64_t task_count,
             std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
                 recovered);
 
@@ -116,43 +122,33 @@ class LeaseCore {
   // logging each expiry.
   void expire(double now);
 
-  // Definitive worker death (channel EOF on the socketpair transport,
-  // explicit discard on the net transport): logs WorkerDead and requeues the
-  // worker's held leases immediately, without backoff.
+  // Definitive worker death (a forked worker's socketpair EOF): logs
+  // WorkerDead and requeues the worker's held leases immediately, without
+  // backoff.
   void release_worker(int worker_id);
 
   // Appends the kFabLogMerged marker after the merged journal is published
   // (the log stays open for exactly this final record).
   void log_merged(std::uint64_t tasks, std::uint64_t duplicates);
 
-  const LeaseTable& table() const noexcept { return table_; }
-  bool task_done(std::uint64_t index) const { return table_.task_done(index); }
   bool all_done() const noexcept { return table_.all_done(); }
   bool any_leased() const noexcept { return table_.any_leased(); }
   double next_event() const noexcept { return table_.next_event(); }
   std::uint64_t tasks_remaining() const noexcept {
-    return options_.task_count - table_.tasks_done();
+    return task_count_ - table_.tasks_done();
   }
   bool drain_requested() const noexcept {
     return options_.drain != nullptr && options_.drain->cancelled();
   }
 
-  // index -> committed payload, for every task committed so far (recovered
-  // + this run). After a complete run this covers [0, task_count).
-  const std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>&
-  payloads() const noexcept {
-    return payloads_;
-  }
-
   FabricReport& report() noexcept { return report_; }
-  const CoordinatorOptions& options() const noexcept { return options_; }
 
  private:
-  void log(std::uint8_t type, const std::vector<std::uint8_t>& payload);
   void log_lease_issued(std::uint64_t lease, int worker);
   void replay_lease_log();
 
-  CoordinatorOptions options_;
+  FabricSweepOptions options_;
+  std::uint64_t task_count_;
   LeaseTable table_;
   JournalWriter log_;
   std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> payloads_;

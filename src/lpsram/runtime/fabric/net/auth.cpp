@@ -85,7 +85,7 @@ Sha256Digest sha256(const std::uint8_t* data, std::size_t size) {
   // Final block(s): message tail, 0x80, zero pad, 64-bit big-endian length.
   std::uint8_t tail[128] = {0};
   const std::size_t rem = size - full * 64;
-  std::memcpy(tail, data + full * 64, rem);
+  if (rem > 0) std::memcpy(tail, data + full * 64, rem);  // data may be null
   tail[rem] = 0x80;
   const std::size_t tail_blocks = rem + 9 <= 64 ? 1 : 2;
   const std::uint64_t bits = std::uint64_t(size) * 8;

@@ -38,24 +38,15 @@ class RemoteWorker {
  public:
   RemoteWorker(const RemoteWorkerOptions& options, const FabricKeyFn& key_of,
                const FabricTaskFn& task_fn)
-      : options_(options),
-        key_of_(key_of),
-        task_fn_(task_fn),
-        campaign_(options.shard_journal) {}
-
-  RemoteWorkerReport run() {
-    campaign_.bind_sweep(options_.salt, options_.fingerprint);
-
-    std::unique_ptr<ScopedJournalCrash> shard_crash;
-    if (options_.chaos.crash_shard_at_append > 0)
-      shard_crash = std::make_unique<ScopedJournalCrash>(
-          options_.chaos.crash_shard_at_append);
+      : options_(options), key_of_(key_of), task_fn_(task_fn) {
     wedge_pending_ = options_.chaos.wedge_after_results > 0;
 
     SweepExecutorOptions exec_options;
     exec_options.threads = options_.threads > 0 ? options_.threads : 1;
     executor_.emplace(exec_options);
+  }
 
+  RemoteWorkerReport run() {
     double last_handshake = now_s();
     double backoff = options_.reconnect_backoff_initial_s;
     for (;;) {
@@ -81,22 +72,43 @@ class RemoteWorker {
       }
       last_handshake = now_s();
       backoff = options_.reconnect_backoff_initial_s;
-
-      // The server's replica cannot be ahead of our own fsync'd file — if it
-      // is, this directory is not the shard that produced those bytes.
-      const std::uint64_t local = shard_size();
-      if (uploaded_to_ > local)
-        throw Error(
-            "fabric: server already holds " + std::to_string(uploaded_to_) +
-            " bytes of shard " + options_.shard_journal +
-            " but the local file has only " + std::to_string(local) +
-            " — shard lineage diverged (was the worker directory recreated?)");
-      if (!upload_tail(channel)) continue;  // connection died; reconnect
-      if (serve(channel)) return report_;
+      if (session(channel)) return report_;
     }
   }
 
+  // A forked worker's channel is its whole life: no connect, no handshake,
+  // no reconnect.
+  RemoteWorkerReport run_forked(MessageChannel& channel) {
+    forked_ = true;
+    if (await_welcome(channel, /*timeout_ms=*/-1)) session(channel);
+    return report_;
+  }
+
  private:
+  // Everything after a Welcome. True = done for good (shutdown or terminal
+  // refusal); false = the connection died.
+  bool session(MessageChannel& channel) {
+    // Opened only now: a forked worker shares this file with the server,
+    // which must have read it before we truncate or append.
+    if (!campaign_) {
+      campaign_.emplace(options_.shard_journal);
+      campaign_->bind_sweep(options_.salt, options_.fingerprint);
+      if (options_.chaos.crash_shard_at_append > 0)
+        shard_crash_ = std::make_unique<ScopedJournalCrash>(
+            options_.chaos.crash_shard_at_append);
+    }
+    // The server's replica cannot be ahead of our own fsync'd file — if it
+    // is, this directory is not the shard that produced those bytes.
+    const std::uint64_t local = shard_size();
+    if (uploaded_to_ > local)
+      throw Error(
+          "fabric: server already holds " + std::to_string(uploaded_to_) +
+          " bytes of shard " + options_.shard_journal +
+          " but the local file has only " + std::to_string(local) +
+          " — shard lineage diverged (was the worker directory recreated?)");
+    return upload_tail(channel) && serve(channel);
+  }
+
   // --- handshake --------------------------------------------------------
 
   // False = retry through the backoff path, unless report_.refused was set
@@ -123,7 +135,7 @@ class RemoteWorker {
     if (!channel.send(kMsgNetHello, hello_bytes)) return false;
 
     WireMessage msg;
-    if (!recv_or_refusal(channel, &msg)) return false;
+    if (!recv_or_refusal(channel, &msg, io_timeout_ms())) return false;
     if (msg.type != kMsgNetChallenge ||
         msg.payload.size() != kNetNonceBytes + kNetMacBytes)
       return false;
@@ -147,8 +159,12 @@ class RemoteWorker {
     if (!channel.send(kMsgNetAuth,
                       std::vector<std::uint8_t>(mac.begin(), mac.end())))
       return false;
+    return await_welcome(channel, io_timeout_ms());
+  }
 
-    if (!recv_or_refusal(channel, &msg)) return false;
+  bool await_welcome(MessageChannel& channel, int timeout_ms) {
+    WireMessage msg;
+    if (!recv_or_refusal(channel, &msg, timeout_ms)) return false;
     if (msg.type != kMsgNetWelcome || msg.payload.size() != 16) return false;
     PayloadReader r(msg.payload);
     const std::uint64_t resume = r.u64();
@@ -159,14 +175,18 @@ class RemoteWorker {
     return true;
   }
 
-  // Receives one handshake-stage message with the I/O deadline. A NetRefuse
+  int io_timeout_ms() const {
+    return static_cast<int>(options_.io_timeout_s * 1000.0);
+  }
+
+  // Receives one handshake-stage message within `timeout_ms`. A NetRefuse
   // is recorded (terminal) and reported as failure; so are EOF, timeout and
   // a trashed stream.
-  bool recv_or_refusal(MessageChannel& channel, WireMessage* msg) {
+  bool recv_or_refusal(MessageChannel& channel, WireMessage* msg,
+                       int timeout_ms) {
     RecvStatus status = RecvStatus::Eof;
     try {
-      status = channel.recv(
-          msg, static_cast<int>(options_.io_timeout_s * 1000.0));
+      status = channel.recv(msg, timeout_ms);
     } catch (const Error&) {
       // Framing damage or a connection-level read failure: either way the
       // stream is useless — reconnect through a clean one.
@@ -256,14 +276,14 @@ class RemoteWorker {
                      const std::vector<std::uint64_t>& indices) {
     ++report_.leases_served;
 
-    // Same precompute split as the forked worker: a thread pool overlaps the
-    // whole batch up front, a single thread computes lazily so heartbeats
-    // interleave with long solves.
+    // A thread pool overlaps the whole batch up front; a single thread
+    // computes lazily so heartbeats interleave with long solves. Commits and
+    // uploads stay sequential either way.
     std::vector<std::vector<std::uint8_t>> computed(indices.size());
     std::vector<std::uint8_t> precomputed(indices.size(), 0);
     if (executor_->threads() > 1 && indices.size() > 1) {
       executor_->run(indices.size(), [&](std::size_t j, int slot) {
-        if (campaign_.find_result(key_of_(indices[j])) != nullptr) return;
+        if (campaign_->find_result(key_of_(indices[j])) != nullptr) return;
         computed[j] = task_fn_(indices[j], slot);
         precomputed[j] = 1;
       });
@@ -280,13 +300,13 @@ class RemoteWorker {
 
       const std::uint64_t index = indices[j];
       const std::uint64_t key = key_of_(index);
-      if (campaign_.find_result(key) != nullptr) {
+      if (campaign_->find_result(key) != nullptr) {
         ++report_.tasks_skipped;
       } else {
         if (!precomputed[j]) computed[j] = task_fn_(index, 0);
         // Commit point: fsync'd into the local shard journal BEFORE any
         // byte of it goes on the wire.
-        campaign_.record_result(key, computed[j]);
+        campaign_->record_result(key, computed[j]);
         ++report_.tasks_executed;
       }
 
@@ -299,10 +319,12 @@ class RemoteWorker {
       if (options_.chaos.exit_after_results > 0 &&
           results_sent_ == options_.chaos.exit_after_results) {
         // The chaos contract says the Nth result is committed AND
-        // acknowledged when the worker dies: wait for the server's ack to
-        // cover the upload, so the abrupt close cannot RST away bytes the
-        // server's kernel buffered but its loop had not read yet.
-        await_acked(channel);
+        // acknowledged when the worker dies. Over TCP, wait for the server's
+        // ack to cover the upload, so the abrupt close cannot RST away bytes
+        // the server's kernel buffered but its loop had not read yet. A
+        // socketpair delivers everything sent before the close, and dying
+        // at once lets the server see the result and the death together.
+        if (!forked_) await_acked(channel);
         std::_Exit(9);
       }
 
@@ -405,13 +427,15 @@ class RemoteWorker {
   const RemoteWorkerOptions& options_;
   const FabricKeyFn& key_of_;
   const FabricTaskFn& task_fn_;
-  Campaign campaign_;
+  std::unique_ptr<ScopedJournalCrash> shard_crash_;
+  std::optional<Campaign> campaign_;
   std::optional<SweepExecutor> executor_;
   RemoteWorkerReport report_;
   std::uint64_t sessions_ = 0;
   std::uint64_t results_sent_ = 0;
   std::uint64_t uploaded_to_ = 0;
   std::uint64_t acked_ = 0;
+  bool forked_ = false;
   bool wedge_pending_ = false;
   bool pending_shutdown_ = false;
 };
@@ -423,6 +447,14 @@ RemoteWorkerReport run_remote_worker(const RemoteWorkerOptions& options,
                                      const FabricTaskFn& task_fn) {
   RemoteWorker worker(options, key_of, task_fn);
   return worker.run();
+}
+
+RemoteWorkerReport run_forked_worker(MessageChannel& channel,
+                                     const RemoteWorkerOptions& options,
+                                     const FabricKeyFn& key_of,
+                                     const FabricTaskFn& task_fn) {
+  RemoteWorker worker(options, key_of, task_fn);
+  return worker.run_forked(channel);
 }
 
 }  // namespace lpsram::fabric

@@ -1,16 +1,25 @@
-// Remote fabric worker: the TCP counterpart of run_fabric_worker.
+// The fabric worker, for both fleets: TCP workers on other hosts
+// (run_remote_worker) and the children run_fabric forks (run_forked_worker).
 //
-// A remote worker owns its shard journal exactly like a forked worker does —
-// every result is committed and fsync'd locally before anything is said on
-// the network — but its commit path to the coordinator is different: instead
-// of kMsgTaskDone messages it replicates the shard journal's bytes to the
-// server in kMsgShardChunk frames. After each commit it ships the file's new
-// tail; the server parses records out of the replicated stream and commits
-// them against the lease table. The NetWelcome's `shard_bytes_have` tells a
-// (re)connecting worker where to resume the upload, so a connection cut
-// mid-transfer re-sends only what the server never received.
+// A worker owns one shard journal (a plain Campaign file) and runs the grant
+// loop: wait for a kMsgGrant, execute the granted task indices, commit each
+// result to the shard journal, fsync'd, *before* anything is said about it,
+// then kMsgLeaseDone. The commit path to the coordinator is the journal
+// itself: after each commit the worker ships the file's new tail in
+// kMsgShardChunk frames, and the server parses records out of the stream
+// and commits them against the lease table. Any result the coordinator has
+// seen is therefore already on disk in a shard, so a crash of either process
+// never loses an acknowledged task. The NetWelcome's `shard_bytes_have`
+// tells a (re)connecting worker where to resume the upload, so a connection
+// cut mid-transfer re-sends only what the server never received.
 //
-// Connection loss is survivable in both directions:
+// Heartbeats (kMsgHeartbeat) are sent between tasks and while idle, never
+// concurrently with a task: a worker stuck inside a solve goes silent and
+// its lease expires. The lease timeout must therefore exceed the slowest
+// single task — that is the deal that lets the coordinator treat silence
+// as death.
+//
+// For a TCP worker, connection loss is survivable in both directions:
 //   * the worker reconnects with exponential backoff, re-handshakes
 //     (reconnect=1) and either resumes its lease (NetWelcome names it and a
 //     fresh kMsgGrant re-lists the still-pending indices) or is told there
@@ -28,13 +37,13 @@
 #include <cstdint>
 #include <string>
 
-#include "lpsram/runtime/fabric/worker.hpp"
 #include "lpsram/runtime/fabric/wire.hpp"
+#include "lpsram/runtime/fabric/worker.hpp"
 
 namespace lpsram::fabric {
 
 struct RemoteWorkerOptions {
-  std::string host;
+  std::string host;   // host, port and token: TCP workers only
   int port = 0;
   std::string token;  // shared campaign secret (load_token_file)
   int worker_id = 0;
@@ -50,7 +59,7 @@ struct RemoteWorkerOptions {
   // Give up (return, gave_up=true) after this long without a completed
   // handshake — a worker should not outlive a decommissioned server forever.
   double give_up_after_s = 30.0;
-  WorkerChaos chaos;  // same deterministic kill matrix as forked workers
+  WorkerChaos chaos;  // deterministic fault injection for the kill matrices
 };
 
 struct RemoteWorkerReport {
@@ -71,6 +80,16 @@ struct RemoteWorkerReport {
 // whose shard replica claims more bytes than this worker ever wrote);
 // JournalCrash propagates from shard-append chaos like the forked worker.
 RemoteWorkerReport run_remote_worker(const RemoteWorkerOptions& options,
+                                     const FabricKeyFn& key_of,
+                                     const FabricTaskFn& task_fn);
+
+// The same worker inside a run_fabric child, over `channel`, the socketpair
+// end it inherited. The parent forked it, so there is no connect and no
+// handshake: it waits for the NetWelcome, opens its shard journal (which the
+// server reads in place) and serves. There is no reconnect either: EOF means
+// the parent is gone, and the worker returns.
+RemoteWorkerReport run_forked_worker(MessageChannel& channel,
+                                     const RemoteWorkerOptions& options,
                                      const FabricKeyFn& key_of,
                                      const FabricTaskFn& task_fn);
 

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <list>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -47,44 +48,28 @@ double wall_s() {
 constexpr int kMaxPollMs = 100;
 // connections.status rewrite cadence.
 constexpr double kStatusIntervalS = 0.25;
+// How long the end of a run waits for its workers to hang up before merging
+// anyway (run_fabric then kills what is left of a forked fleet).
+constexpr double kHangupPatienceS = 10.0;
 // NetWelcome "no lease to resume" sentinel.
 constexpr std::uint64_t kNoLease = ~std::uint64_t(0);
 
 // The server-side replica of one worker's shard journal. Chunks append here
 // verbatim; the stream past the 8-byte magic is simultaneously fed through a
-// FrameParser so completed records commit as their bytes arrive.
+// FrameParser so completed records commit as their bytes arrive. A forked
+// worker's sink is `shared`: the worker appends to this very file itself, so
+// its chunks are parsed but never written.
+struct FileCloser {
+  void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+};
+
 struct ShardSink {
-  std::FILE* file = nullptr;
-  std::string path;
+  std::unique_ptr<std::FILE, FileCloser> file;
+  std::string path;  // empty until opened
+  bool shared = false;
   std::uint64_t have = 0;       // replicated bytes (answers "how much?")
   std::uint64_t committed = 0;  // end of the last fully parsed record
   FrameParser parser;
-
-  ShardSink() = default;
-  ShardSink(const ShardSink&) = delete;
-  ShardSink& operator=(const ShardSink&) = delete;
-  ShardSink(ShardSink&& other) noexcept { *this = std::move(other); }
-  ShardSink& operator=(ShardSink&& other) noexcept {
-    if (this != &other) {
-      close();
-      file = other.file;
-      path = std::move(other.path);
-      have = other.have;
-      committed = other.committed;
-      parser = std::move(other.parser);
-      other.file = nullptr;
-      other.have = 0;
-      other.committed = 0;
-    }
-    return *this;
-  }
-  ~ShardSink() { close(); }
-  void close() noexcept {
-    if (file != nullptr) {
-      std::fclose(file);
-      file = nullptr;
-    }
-  }
 };
 
 struct Conn {
@@ -96,6 +81,7 @@ struct Conn {
   double last_heard = 0.0;
   int worker_id = -1;  // -1 until the handshake completes
   std::int64_t lease = -1;
+  bool forked = false;  // a run_fabric child on an inherited socketpair
   NetHelloFields hello{};
   std::uint8_t worker_nonce[kNetNonceBytes] = {0};
   std::uint8_t server_nonce[kNetNonceBytes] = {0};
@@ -107,31 +93,27 @@ struct WorkerSlot {
   Conn* conn = nullptr;  // current connection, nullptr while disconnected
   ShardSink sink;
   double last_heartbeat = 0.0;
-  double disconnected_at = 0.0;
   std::uint64_t sessions = 0;
   std::uint64_t reconnects = 0;
-
-  WorkerSlot() = default;
-  WorkerSlot(const WorkerSlot&) = delete;
-  WorkerSlot& operator=(const WorkerSlot&) = delete;
-  WorkerSlot(WorkerSlot&&) noexcept = default;
-  WorkerSlot& operator=(WorkerSlot&&) noexcept = default;
 };
 
 class NetServer {
  public:
   NetServer(TcpListener& listener, const NetFabricOptions& options,
-            std::uint64_t count, const FabricKeyFn& key_of)
+            std::uint64_t count, const FabricKeyFn& key_of,
+            std::vector<MessageChannel> forked)
       : listener_(listener),
         options_(options),
         count_(count),
         slots_(static_cast<std::size_t>(std::max(options.max_workers, 0))) {
-    if (options_.token.empty())
+    if (listener_.is_open() && options_.token.empty())
       throw InvalidArgument("fabric: net server requires a campaign token");
     if (options_.dir.empty())
       throw InvalidArgument("fabric: journal directory required");
-    if (options_.max_workers <= 0)
-      throw InvalidArgument("fabric: max_workers must be positive");
+    if (options_.max_workers <= 0 ||
+        forked.size() > static_cast<std::size_t>(options_.max_workers))
+      throw InvalidArgument(
+          "fabric: max_workers must be positive and cover the forked fleet");
     fs::create_directories(options_.dir);
     if (options_.conn_silence_timeout_s <= 0.0)
       silence_timeout_s_ = 4.0 * options_.heartbeat_interval_s;
@@ -145,9 +127,9 @@ class NetServer {
       index_of_key_[key] = i;
     }
 
-    // Recover whatever earlier incarnations (over either transport)
-    // committed: the shard replicas in our directory are the source of
-    // truth, exactly as in run_fabric.
+    // Recover whatever earlier incarnations (forked or remote) committed:
+    // the shard journals in our directory are the source of truth. Forked
+    // workers are waiting for their Welcome and have not touched theirs yet.
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> recovered;
     for (const std::string& path : existing_shard_paths()) {
       const ShardSnapshot snapshot = read_campaign_snapshot(path);
@@ -165,18 +147,19 @@ class NetServer {
       }
     }
 
-    CoordinatorOptions copt;
-    copt.lease_log = coordinator_log_path(options_.dir);
-    copt.salt = options_.salt;
-    copt.fingerprint = options_.fingerprint;
-    copt.task_count = count;
-    copt.leases.span = options_.lease_span;
-    copt.leases.lease_timeout_s = options_.lease_timeout_s;
-    copt.leases.heartbeat_interval_s = options_.heartbeat_interval_s;
-    copt.leases.backoff_initial_s = options_.backoff_initial_s;
-    copt.leases.backoff_max_s = options_.backoff_max_s;
-    copt.drain = options_.drain;
-    core_.emplace(std::move(copt), std::move(recovered));
+    core_.emplace(options_, count, std::move(recovered));
+
+    const double now = now_s();
+    for (std::size_t w = 0; w < forked.size(); ++w) {
+      Conn c;
+      c.channel = std::move(forked[w]);
+      c.peer = "forked";
+      c.forked = true;
+      c.opened_at = now;
+      c.hello.worker_id = static_cast<std::uint32_t>(w);
+      conns_.push_back(std::move(c));
+      admit(conns_.back(), now);
+    }
   }
 
   NetFabricReport run() {
@@ -210,9 +193,11 @@ class NetServer {
         timeout_ms = std::max(1, static_cast<int>((next - now) * 1000.0));
 
       std::vector<pollfd> fds;
-      std::vector<Conn*> fd_owner;
-      fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
-      fd_owner.push_back(nullptr);
+      std::vector<Conn*> fd_owner;  // nullptr = the listener
+      if (listener_.is_open()) {
+        fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+        fd_owner.push_back(nullptr);
+      }
       for (Conn& c : conns_) {
         if (c.stage == Conn::Stage::Closed) continue;
         fds.push_back(pollfd{c.channel.fd(), POLLIN, 0});
@@ -226,19 +211,22 @@ class NetServer {
       }
 
       now = now_s();
-      if ((fds[0].revents & POLLIN) != 0) accept_pending(now);
-      for (std::size_t i = 1; i < fds.size(); ++i) {
+      for (std::size_t i = 0; i < fds.size(); ++i) {
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        service(*fd_owner[i], now);
+        if (fd_owner[i] == nullptr)
+          accept_pending(now);
+        else
+          service(*fd_owner[i], now);
       }
     }
 
-    const double now = now_s();
+    finished_ = true;
     for (Conn& c : conns_)
       if (c.stage == Conn::Stage::Serving)
         c.channel.send(kMsgShutdown, {});  // best effort
-    write_status(now);
-    for (WorkerSlot& slot : slots_) slot.sink.close();
+    await_hangup();
+    write_status(now_s());
+    for (WorkerSlot& slot : slots_) slot.sink.file.reset();
 
     if (core_->report().complete) {
       std::vector<std::string> shards = existing_shard_paths();
@@ -269,6 +257,34 @@ class NetServer {
  private:
   // --- connection lifecycle --------------------------------------------
 
+  // The merge waits for every worker told to shut down to hang up. A forked
+  // worker appends to the very shard file the merge reads: a straggler first
+  // finishes the lease it was grinding, and its late commits reconcile here
+  // as duplicates. A TCP worker's last heartbeat or LeaseDone is read, not
+  // left unread: closing a socket with unread bytes sends an RST, which can
+  // destroy the Shutdown still queued for the worker and leave it
+  // reconnecting to a server that has gone.
+  void await_hangup() {
+    const double deadline = now_s() + kHangupPatienceS;
+    for (;;) {
+      std::vector<pollfd> fds;
+      std::vector<Conn*> fd_owner;
+      for (Conn& c : conns_) {
+        if (c.stage != Conn::Stage::Serving) continue;
+        fds.push_back(pollfd{c.channel.fd(), POLLIN, 0});
+        fd_owner.push_back(&c);
+      }
+      if (fds.empty() || now_s() >= deadline) return;
+      if (::poll(fds.data(), fds.size(), kMaxPollMs) < 0 && errno != EINTR)
+        throw Error(std::string("fabric: net server poll failed: ") +
+                    std::strerror(errno));
+      const double now = now_s();
+      for (std::size_t i = 0; i < fds.size(); ++i)
+        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
+          service(*fd_owner[i], now);
+    }
+  }
+
   void accept_pending(double now) {
     for (;;) {
       std::string peer;
@@ -297,20 +313,20 @@ class NetServer {
         }));
   }
 
-  void drop_conn(Conn& c, double now) {
+  void drop_conn(Conn& c) {
     if (c.stage == Conn::Stage::Closed) return;
     c.channel.close();
     c.stage = Conn::Stage::Closed;
     ++report_.connections_dropped;
-    if (c.worker_id >= 0) {
-      WorkerSlot& slot = slots_[static_cast<std::size_t>(c.worker_id)];
-      if (slot.conn == &c) {
-        // The lease deliberately stays Leased: this is the reconnect
-        // window. Expiry (or an explicit fresh hello) settles it.
-        slot.conn = nullptr;
-        slot.disconnected_at = now;
-      }
-    }
+    if (c.worker_id < 0) return;
+    WorkerSlot& slot = slots_[static_cast<std::size_t>(c.worker_id)];
+    if (slot.conn != &c) return;
+    slot.conn = nullptr;
+    // A forked worker cannot come back: its lease requeues now, no backoff
+    // (unless the sweep is over and it merely exited as told). A remote
+    // worker's lease deliberately stays Leased: this is the reconnect
+    // window. Expiry (or an explicit fresh hello) settles it.
+    if (c.forked && !finished_) core_->release_worker(c.worker_id);
   }
 
   void reap_closed() {
@@ -322,9 +338,11 @@ class NetServer {
     for (Conn& c : conns_) {
       if (c.stage == Conn::Stage::AwaitHello ||
           c.stage == Conn::Stage::AwaitAuth) {
-        if (now - c.opened_at > options_.handshake_timeout_s) drop_conn(c, now);
-      } else if (c.stage == Conn::Stage::Serving) {
-        if (now - c.last_heard > silence_timeout_s_) drop_conn(c, now);
+        if (now - c.opened_at > options_.handshake_timeout_s) drop_conn(c);
+      } else if (c.stage == Conn::Stage::Serving && !c.forked) {
+        // Only TCP can be half-open; a silent forked worker is a straggler
+        // for the lease clock, and dropping it would kill it.
+        if (now - c.last_heard > silence_timeout_s_) drop_conn(c);
       }
     }
   }
@@ -338,15 +356,16 @@ class NetServer {
       return;
     }
     if (core_->drain_requested()) return;
-    const double grace =
-        ever_served_ ? (options_.all_lost_grace_s > 0.0
-                            ? options_.all_lost_grace_s
-                            : options_.lease_timeout_s)
-                     : options_.first_connect_timeout_s;
+    double grace = 0.0;  // without a listener nobody can join any more
+    if (listener_.is_open())
+      grace = ever_served_ ? (options_.all_lost_grace_s > 0.0
+                                  ? options_.all_lost_grace_s
+                                  : options_.lease_timeout_s)
+                           : options_.first_connect_timeout_s;
     if (now - no_worker_since_ <= grace) return;
     throw FabricWorkersLost(
-        "fabric: no connected workers for " + std::to_string(grace) +
-        "s with " + std::to_string(core_->tasks_remaining()) + " of " +
+        "fabric: no live workers left (grace " + std::to_string(grace) +
+        " s) with " + std::to_string(core_->tasks_remaining()) + " of " +
         std::to_string(count_) +
         " tasks uncommitted — shard journals retain every committed result; "
         "rerun (or point a fresh fleet at this server) to resume");
@@ -354,8 +373,7 @@ class NetServer {
 
   // --- protocol: handshake ---------------------------------------------
 
-  void refuse(Conn& c, NetRefusal reason, const std::string& message,
-              double now) {
+  void refuse(Conn& c, NetRefusal reason, const std::string& message) {
     switch (reason) {
       case NetRefusal::Protocol: ++report_.refusals_protocol; break;
       case NetRefusal::Manifest: ++report_.refusals_manifest; break;
@@ -367,13 +385,13 @@ class NetServer {
     out.u32(static_cast<std::uint32_t>(reason));
     out.str(message);
     c.channel.send(kMsgNetRefuse, out.take());  // best effort
-    drop_conn(c, now);
+    drop_conn(c);
   }
 
-  void handle_hello(Conn& c, const WireMessage& msg, double now) {
+  void handle_hello(Conn& c, const WireMessage& msg) {
     constexpr std::size_t kHelloBytes = 4 + 4 + 8 + 8 + 1 + kNetNonceBytes;
     if (msg.type != kMsgNetHello || msg.payload.size() != kHelloBytes) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     PayloadReader r(msg.payload);
@@ -389,24 +407,21 @@ class NetServer {
       refuse(c, NetRefusal::Protocol,
              "fabric: protocol version mismatch (server speaks " +
                  std::to_string(kNetProtocolVersion) + ", worker speaks " +
-                 std::to_string(c.hello.protocol) + ")",
-             now);
+                 std::to_string(c.hello.protocol) + ")");
       return;
     }
     if (c.hello.salt != options_.salt ||
         c.hello.fingerprint != options_.fingerprint) {
       refuse(c, NetRefusal::Manifest,
              "fabric: sweep manifest mismatch — this worker was launched for "
-             "a different campaign configuration",
-             now);
+             "a different campaign configuration");
       return;
     }
     if (c.hello.worker_id >= static_cast<std::uint32_t>(options_.max_workers)) {
       refuse(c, NetRefusal::Busy,
              "fabric: worker id " + std::to_string(c.hello.worker_id) +
                  " is outside this server's slot range [0, " +
-                 std::to_string(options_.max_workers) + ")",
-             now);
+                 std::to_string(options_.max_workers) + ")");
       return;
     }
 
@@ -419,7 +434,7 @@ class NetServer {
                      c.server_nonce + kNetNonceBytes);
     challenge.insert(challenge.end(), mac.begin(), mac.end());
     if (!c.channel.send(kMsgNetChallenge, challenge)) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     c.stage = Conn::Stage::AwaitAuth;
@@ -427,7 +442,7 @@ class NetServer {
 
   void handle_auth(Conn& c, const WireMessage& msg, double now) {
     if (msg.type != kMsgNetAuth || msg.payload.size() != kNetMacBytes) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     const Sha256Digest expected = handshake_mac(options_.token, 'W', c.hello,
@@ -435,24 +450,26 @@ class NetServer {
     if (!constant_time_equal(msg.payload.data(), expected.data(),
                              kNetMacBytes)) {
       refuse(c, NetRefusal::Auth,
-             "fabric: handshake MAC mismatch — wrong campaign token", now);
+             "fabric: handshake MAC mismatch — wrong campaign token");
       return;
     }
-    complete_handshake(c, now);
+    ++report_.handshakes_completed;
+    admit(c, now);
   }
 
-  void complete_handshake(Conn& c, double now) {
-    ++report_.handshakes_completed;
+  // Binds an authenticated (or forked) connection to its worker slot and
+  // sends the Welcome, plus the grant of a resumed lease.
+  void admit(Conn& c, double now) {
     ever_served_ = true;
     c.worker_id = static_cast<int>(c.hello.worker_id);
     WorkerSlot& slot = slots_[static_cast<std::size_t>(c.worker_id)];
     // Adopt: a reconnect supersedes whatever connection the slot held (a
     // wedged socket the deadlines have not reaped yet).
-    if (slot.conn != nullptr && slot.conn != &c) drop_conn(*slot.conn, now);
+    if (slot.conn != nullptr && slot.conn != &c) drop_conn(*slot.conn);
     slot.conn = &c;
     if (slot.sessions++ > 0) ++slot.reconnects;
     slot.last_heartbeat = now;
-    open_sink(slot, c.worker_id);
+    open_sink(slot, c.worker_id, c.forked);
 
     c.stage = Conn::Stage::Serving;
     c.last_heard = now;
@@ -469,7 +486,7 @@ class NetServer {
     welcome.u64(resume >= 0 ? static_cast<std::uint64_t>(resume) : kNoLease);
     welcome.u64(slot.sink.have);
     if (!c.channel.send(kMsgNetWelcome, welcome.take())) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     if (resume >= 0) {
@@ -478,7 +495,7 @@ class NetServer {
       grant.u32(static_cast<std::uint32_t>(pending.size()));
       for (const std::uint64_t index : pending) grant.u64(index);
       if (!c.channel.send(kMsgGrant, grant.take())) {
-        drop_conn(c, now);
+        drop_conn(c);
         return;
       }
       c.lease = resume;
@@ -498,7 +515,7 @@ class NetServer {
     grant.u32(static_cast<std::uint32_t>(pending.size()));
     for (const std::uint64_t index : pending) grant.u64(index);
     if (!c.channel.send(kMsgGrant, grant.take())) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     c.lease = id;
@@ -507,19 +524,21 @@ class NetServer {
 
   void service(Conn& c, double now) {
     if (c.stage == Conn::Stage::Closed) return;
-    // Wire framing damage (bad CRC, impossible length — JournalCorrupt) and
-    // connection-level read failures (ECONNRESET and friends — plain Error)
-    // from pump()/next() mean a trashed or gone peer: never act on the
-    // frame, drop the connection, let the worker reconnect cleanly. The
-    // catches are deliberately narrow — a JournalCorrupt out of
-    // handle_message (a commit byte mismatch, i.e. nondeterministic task
-    // execution) must stay fatal to the whole run.
+    // Wire framing damage (bad CRC, impossible length — JournalCorrupt from
+    // next()) means a trashed peer: never act on that frame, drop the
+    // connection, let the worker reconnect cleanly. A read failure
+    // (ECONNRESET and friends — plain Error from pump()) means a gone peer,
+    // but the complete, CRC-checked frames that arrived before it are
+    // intact and are acted on first: a worker that uploads its last result
+    // and exits with an ack still unread is reset, and its result must not
+    // be lost with it. The catches are deliberately narrow — a
+    // JournalCorrupt out of handle_message (a commit byte mismatch, i.e.
+    // nondeterministic task execution) must stay fatal to the whole run.
     bool open = false;
     try {
       open = c.channel.pump();
     } catch (const Error&) {
-      drop_conn(c, now);
-      return;
+      open = false;
     }
     for (;;) {
       WireMessage msg;
@@ -527,20 +546,20 @@ class NetServer {
       try {
         got = c.channel.next(&msg);
       } catch (const Error&) {
-        drop_conn(c, now);
+        drop_conn(c);
         return;
       }
       if (!got || c.stage == Conn::Stage::Closed) break;
       handle_message(c, msg, now);
     }
-    if (!open) drop_conn(c, now);
+    if (!open) drop_conn(c);
   }
 
   void handle_message(Conn& c, const WireMessage& msg, double now) {
     c.last_heard = now;
     switch (c.stage) {
       case Conn::Stage::AwaitHello:
-        handle_hello(c, msg, now);
+        handle_hello(c, msg);
         return;
       case Conn::Stage::AwaitAuth:
         handle_auth(c, msg, now);
@@ -557,7 +576,7 @@ class NetServer {
     switch (msg.type) {
       case kMsgHeartbeat: {
         if (msg.payload.size() < 12) {
-          drop_conn(c, now);
+          drop_conn(c);
           break;
         }
         PayloadReader r(msg.payload);
@@ -568,7 +587,7 @@ class NetServer {
       }
       case kMsgLeaseDone: {
         if (msg.payload.size() < 8) {
-          drop_conn(c, now);
+          drop_conn(c);
           break;
         }
         PayloadReader r(msg.payload);
@@ -581,36 +600,38 @@ class NetServer {
         handle_chunk(c, slot, msg, now);
         break;
       default:
-        drop_conn(c, now);  // protocol violation
+        drop_conn(c);  // protocol violation
         break;
     }
   }
 
   // --- shard replication ------------------------------------------------
 
-  void open_sink(WorkerSlot& slot, int worker_id) {
+  void open_sink(WorkerSlot& slot, int worker_id, bool shared) {
     ShardSink& sink = slot.sink;
-    if (sink.file != nullptr) return;
+    if (!sink.path.empty()) return;
     sink.path = shard_journal_path(options_.dir, worker_id);
+    sink.shared = shared;
     const JournalReplay replay = replay_journal(sink.path);
+    sink.have = replay.valid_bytes;
+    sink.committed = replay.valid_bytes;
+    sink.parser = FrameParser();
+    if (shared) return;  // the worker truncates and appends this file itself
     std::error_code ec;
     if (fs::exists(sink.path, ec) &&
         fs::file_size(sink.path, ec) > replay.valid_bytes)
       fs::resize_file(sink.path, replay.valid_bytes, ec);  // torn tail
-    sink.file = std::fopen(sink.path.c_str(), "ab");
+    sink.file.reset(std::fopen(sink.path.c_str(), "ab"));
     if (sink.file == nullptr)
       throw Error("fabric: cannot open shard sink " + sink.path + ": " +
                   std::strerror(errno));
-    sink.have = replay.valid_bytes;
-    sink.committed = replay.valid_bytes;
-    sink.parser = FrameParser();
   }
 
   void handle_chunk(Conn& c, WorkerSlot& slot, const WireMessage& msg,
                     double now) {
     ShardSink& sink = slot.sink;
     if (msg.payload.size() < 8) {
-      drop_conn(c, now);
+      drop_conn(c);
       return;
     }
     PayloadReader r(msg.payload);
@@ -619,23 +640,24 @@ class NetServer {
     std::size_t n = msg.payload.size() - 8;
 
     if (offset > sink.have) {
-      drop_conn(c, now);  // the worker skipped bytes we never received
+      drop_conn(c);  // the worker skipped bytes we never received
       return;
     }
     const std::uint64_t skip = sink.have - offset;
     if (skip >= n) {  // pure resend of bytes we already hold
-      ack(c, sink, now);
+      ack(c, sink);
       return;
     }
     data += skip;
     n -= static_cast<std::size_t>(skip);
 
-    if (std::fwrite(data, 1, n, sink.file) != n || std::fflush(sink.file) != 0)
-      throw Error("fabric: cannot append to shard sink " + sink.path + ": " +
-                  std::strerror(errno));
-#if defined(__unix__) || defined(__APPLE__)
-    ::fsync(::fileno(sink.file));
-#endif
+    if (!sink.shared) {
+      if (std::fwrite(data, 1, n, sink.file.get()) != n ||
+          std::fflush(sink.file.get()) != 0)
+        throw Error("fabric: cannot append to shard sink " + sink.path +
+                    ": " + std::strerror(errno));
+      ::fsync(::fileno(sink.file.get()));
+    }
     report_.shard_bytes_received += n;
 
     // Verify the magic byte-for-byte, then stream everything after it
@@ -645,7 +667,7 @@ class NetServer {
       if (data[consumed] !=
           static_cast<std::uint8_t>(kJournalMagic[sink.have])) {
         recover_sink(sink);
-        drop_conn(c, now);
+        drop_conn(c);
         return;
       }
       ++sink.have;
@@ -666,37 +688,37 @@ class NetServer {
         // Damaged record bytes inside the replica. Roll the file back to
         // the last good boundary and make the worker re-upload from there.
         recover_sink(sink);
-        drop_conn(c, now);
+        drop_conn(c);
         return;
       }
       if (!got) break;
       sink.committed = sink.have - sink.parser.buffered();
       if (!handle_record(c, record, now)) {
-        drop_conn(c, now);
+        drop_conn(c);
         return;
       }
     }
-    if (c.stage == Conn::Stage::Serving) ack(c, sink, now);
+    if (c.stage == Conn::Stage::Serving) ack(c, sink);
   }
 
   // Truncates the replica back to the last fully parsed record and resets
   // the stream state, so the next upload resumes from a clean boundary.
   void recover_sink(ShardSink& sink) {
-    sink.close();
+    sink.have = sink.committed;
+    sink.parser = FrameParser();
+    if (sink.shared) return;  // the worker's own file; it is the one to heal
+    sink.file.reset();
     std::error_code ec;
     fs::resize_file(sink.path, sink.committed, ec);
-    sink.file = std::fopen(sink.path.c_str(), "ab");
+    sink.file.reset(std::fopen(sink.path.c_str(), "ab"));
     if (sink.file == nullptr)
       throw Error("fabric: cannot reopen shard sink " + sink.path + ": " +
                   std::strerror(errno));
-    sink.have = sink.committed;
-    sink.parser = FrameParser();
   }
 
   // Returns false when the record is a protocol/manifest violation and the
   // connection must go. Commit mismatches (JournalCorrupt) propagate — a
-  // nondeterministic task result is fatal to the run, same as the
-  // single-host path.
+  // nondeterministic task result is fatal to the run.
   bool handle_record(Conn& c, const JournalRecord& record, double now) {
     switch (record.type) {
       case kRecordManifest: {
@@ -725,10 +747,14 @@ class NetServer {
     }
   }
 
-  void ack(Conn& c, ShardSink& sink, double now) {
+  // A forked worker gets no acks: it never resumes an upload, and a send
+  // failing because it just exited would drop its connection before the
+  // frames it sent last were parsed.
+  void ack(Conn& c, ShardSink& sink) {
+    if (c.forked) return;
     PayloadWriter out;
     out.u64(sink.have);
-    if (!c.channel.send(kMsgShardAck, out.take())) drop_conn(c, now);
+    if (!c.channel.send(kMsgShardAck, out.take())) drop_conn(c);
   }
 
   // --- observability ----------------------------------------------------
@@ -748,9 +774,13 @@ class NetServer {
       const WorkerSlot& slot = slots_[id];
       if (slot.sessions == 0) continue;
       const Conn* c = slot.conn;
-      std::fprintf(f, "worker %zu state=%s addr=%s lease=", id,
-                   c != nullptr ? "serving" : "disconnected",
-                   c != nullptr && !c->peer.empty() ? c->peer.c_str() : "-");
+      const bool forked = slot.sink.shared;  // a forked worker's slot
+      const char* state =
+          c != nullptr ? "serving" : (forked ? "exited" : "disconnected");
+      const char* addr = c != nullptr && !c->peer.empty()
+                             ? c->peer.c_str()
+                             : (forked ? "forked" : "-");
+      std::fprintf(f, "worker %zu state=%s addr=%s lease=", id, state, addr);
       if (c != nullptr && c->lease >= 0)
         std::fprintf(f, "%lld", static_cast<long long>(c->lease));
       else
@@ -793,6 +823,7 @@ class NetServer {
   std::vector<WorkerSlot> slots_;
   NetFabricReport report_;
   bool ever_served_ = false;
+  bool finished_ = false;  // the loop is over; Shutdown has been sent
   double no_worker_since_ = 0.0;
   double last_status_ = 0.0;
 };
@@ -801,9 +832,9 @@ class NetServer {
 
 NetFabricReport run_net_fabric(TcpListener& listener,
                                const NetFabricOptions& options,
-                               std::uint64_t count,
-                               const FabricKeyFn& key_of) {
-  NetServer server(listener, options, count, key_of);
+                               std::uint64_t count, const FabricKeyFn& key_of,
+                               std::vector<MessageChannel> forked) {
+  NetServer server(listener, options, count, key_of, std::move(forked));
   try {
     const NetFabricReport report = server.run();
     if (options.report_out != nullptr) *options.report_out = report;
@@ -817,7 +848,8 @@ NetFabricReport run_net_fabric(TcpListener& listener,
 #else  // !LPSRAM_HAVE_FABRIC_NET
 
 NetFabricReport run_net_fabric(TcpListener&, const NetFabricOptions&,
-                               std::uint64_t, const FabricKeyFn&) {
+                               std::uint64_t, const FabricKeyFn&,
+                               std::vector<MessageChannel>) {
   throw Error("fabric: the net server requires a POSIX platform");
 }
 

@@ -1,9 +1,12 @@
-// Multi-host fabric server: the TCP transport in front of LeaseCore.
+// The fabric coordinator: LeaseCore behind one poll loop that serves every
+// worker, whether run_fabric forked it or it connected over TCP.
 //
 // run_net_fabric listens for remote workers (fabric_worker processes on
 // other hosts), authenticates each with a mutual HMAC handshake over the
-// shared campaign token, and drives the same lease brain the single-host
-// coordinator uses. What changes versus the socketpair transport:
+// shared campaign token, and drives the lease brain. run_fabric hands it the
+// parent ends of its forked workers' socketpairs instead of (or, in
+// principle, beside) a listener; those workers speak the same grammar minus
+// the parts a parent already knows (see "Forked workers" below).
 //
 //   * Handshake before anything. NetHello -> NetChallenge -> NetAuth ->
 //     NetWelcome|NetRefuse. A protocol-version or manifest-fingerprint
@@ -12,28 +15,38 @@
 //     accepted. The MAC is mutual: the server proves knowledge of the token
 //     in its Challenge, so a worker never uploads results to an impostor.
 //
-//   * Disconnect is not death. A socketpair EOF means the worker process is
-//     gone; a TCP drop may be a switch reboot. The server keeps the
-//     worker's lease Leased until its deadline — the reconnect window. A
-//     worker that re-handshakes (reconnect=1) inside the window has its
-//     lease resumed (NetWelcome carries the lease id, a fresh kMsgGrant
+//   * Disconnect is not death. A TCP drop may be a switch reboot. The server
+//     keeps the worker's lease Leased until its deadline — the reconnect
+//     window. A worker that re-handshakes (reconnect=1) inside the window has
+//     its lease resumed (NetWelcome carries the lease id, a fresh kMsgGrant
 //     carries the still-pending indices); past the window the lease was
 //     re-issued elsewhere, the Welcome says "none", and the worker discards
 //     local lease state. Late duplicate commits reconcile byte-identical,
-//     exactly like straggler re-issues on the single-host path.
+//     exactly like straggler re-issues.
 //
-//   * The shard stream IS the commit path. Workers do not send kMsgTaskDone
-//     over TCP; they upload their fsync'd shard journal verbatim in
-//     kMsgShardChunk frames ([u64 offset][raw bytes]), and the server
-//     appends them to its own copy of shard-<id>.journal, decoding records
-//     out of the byte stream to commit tasks. Upload is resumable: the
-//     NetWelcome's `shard_bytes_have` answers "how much do you have?", the
-//     worker continues from that offset, and every chunk is acknowledged
-//     with kMsgShardAck. Two checksum layers cover the transfer — the wire
-//     frame CRC on each chunk message, and the journal record CRCs inside
-//     the replicated bytes — and the server's copy is byte-identical to the
-//     worker's file by construction, so the merge sees exactly what the
-//     worker fsync'd.
+//   * The shard stream IS the commit path. Workers upload their fsync'd
+//     shard journal verbatim in kMsgShardChunk frames ([u64 offset][raw
+//     bytes]), and the server appends them to its own copy of
+//     shard-<id>.journal, decoding records out of the byte stream to commit
+//     tasks. Upload is resumable: the NetWelcome's `shard_bytes_have`
+//     answers "how much do you have?", the worker continues from that
+//     offset, and every chunk is acknowledged with kMsgShardAck. Two
+//     checksum layers cover the transfer — the wire frame CRC on each chunk
+//     message, and the journal record CRCs inside the replicated bytes — and
+//     the server's copy is byte-identical to the worker's file by
+//     construction, so the merge sees exactly what the worker fsync'd.
+//
+//   * Forked workers. A channel handed in by run_fabric is already trusted
+//     (this process forked its peer) and already identified (worker id =
+//     its position), so it skips the handshake: the server sends NetWelcome
+//     straight away. Its shard journal is the very file the server would
+//     replicate into, so the chunks it uploads are parsed and committed but
+//     never written a second time, nor acknowledged. And a socketpair cannot be half-open or
+//     come back: EOF is process death, which requeues the worker's lease at
+//     once with no backoff (FabricReport::workers_died), and silence is a
+//     straggler for the lease clock to settle, never a reason to drop it.
+//     With no listener nobody else can join, so the moment no worker is
+//     left the run ends in FabricWorkersLost.
 //
 // Threat model (deliberately narrow): the fabric runs on a trusted network
 // segment. The handshake provides peer authentication and the CRCs provide
@@ -46,6 +59,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "lpsram/runtime/fabric/lease_core.hpp"
 #include "lpsram/runtime/fabric/net/net.hpp"
@@ -53,18 +67,8 @@
 
 namespace lpsram::fabric {
 
-struct NetFabricOptions {
-  std::string dir;         // shard + lease-log directory, created if absent
-  std::string merged_out;  // merged journal path; empty = dir/merged.journal
-  std::string token;       // shared campaign secret (load_token_file)
-  std::uint64_t lease_span = 4;
-  double lease_timeout_s = 5.0;
-  double heartbeat_interval_s = 0.5;
-  double backoff_initial_s = 0.05;
-  double backoff_max_s = 2.0;
-  std::uint64_t salt = 0;  // sweep manifest — refused on mismatch
-  std::uint64_t fingerprint = 0;
-  const CancelToken* drain = nullptr;
+struct NetFabricOptions : FabricSweepOptions {
+  std::string token;  // shared campaign secret (load_token_file)
 
   // A connection that has not completed its handshake within this window is
   // dropped (a silent port-scanner must not hold a slot).
@@ -87,10 +91,6 @@ struct NetFabricOptions {
   // return value is lost then, but "was anything refused / leased before
   // the failure?" is exactly what a resuming caller (or a test) wants.
   struct NetFabricReport* report_out = nullptr;
-
-  std::string merged_path() const {
-    return merged_out.empty() ? dir + "/merged.journal" : merged_out;
-  }
 };
 
 struct NetFabricReport {
@@ -108,16 +108,20 @@ struct NetFabricReport {
   std::uint64_t shard_bytes_received = 0;
 };
 
-// Serves the sweep [0, count) over `listener` until every task is committed
-// and merged, the drain token fires, or the fleet is lost past its grace
-// window (FabricWorkersLost — rerun to resume from the shard journals).
-// `key_of` maps sweep indices to task keys exactly as the workers do; tasks
-// execute only on the workers, so no task function appears here. Alongside
-// the lease log the server maintains `dir`/connections.status, an atomically
-// rewritten snapshot of per-worker transport state for
-// tools/fabric_inspect.py connections.
+// Serves the sweep [0, count) until every task is committed and merged, the
+// drain token fires, or the fleet is lost past its grace window
+// (FabricWorkersLost — rerun to resume from the shard journals). Workers
+// connect through `listener` when it is open (a closed one serves only the
+// forked fleet) and arrive pre-connected in `forked`: element w is the
+// parent's end of the socketpair forked worker w inherited (see
+// run_forked_worker). `key_of` maps sweep indices to task keys exactly as the
+// workers do; tasks execute only on the workers, so no task function appears
+// here. Alongside the lease log the server maintains
+// `dir`/connections.status, an atomically rewritten snapshot of per-worker
+// transport state for tools/fabric_inspect.py connections.
 NetFabricReport run_net_fabric(TcpListener& listener,
                                const NetFabricOptions& options,
-                               std::uint64_t count, const FabricKeyFn& key_of);
+                               std::uint64_t count, const FabricKeyFn& key_of,
+                               std::vector<MessageChannel> forked = {});
 
 }  // namespace lpsram::fabric

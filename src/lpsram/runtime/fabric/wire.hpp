@@ -1,14 +1,15 @@
-// Typed message channel between the fabric coordinator and its worker
-// processes, carried over a POSIX stream socketpair. Every message is framed
+// Typed message channel between the fabric coordinator and a worker, over
+// any POSIX stream socket: a forked worker's socketpair or a TCP connection
+// (net/net.hpp). Every message is framed
 // exactly like a journal record — [u32 length][u32 crc32][u8 type + payload]
 // — so the wire shares the journal's codec (encode_record_frame /
 // FrameParser) and tools/fabric_inspect.py can decode captures with the same
 // logic it uses on journal files.
 //
 // Liveness semantics the coordinator relies on:
-//   * recv() returning Eof means the peer's end is closed — for a worker
-//     that is SIGKILL, OOM, or a clean exit; for the coordinator it means
-//     the parent died and the worker should stop.
+//   * recv() returning Eof means the peer's end is closed — on a socketpair
+//     that is the worker's SIGKILL, OOM or clean exit, or for the worker the
+//     death of its parent; on TCP it may also be a dropped connection.
 //   * send() returns false (instead of raising SIGPIPE) when the peer is
 //     gone, so the coordinator can mark a worker dead mid-broadcast.
 //   * A checksum or length violation on the stream throws JournalCorrupt:
@@ -24,20 +25,19 @@
 
 namespace lpsram::fabric {
 
-// Message types. Worker -> coordinator: Hello, Heartbeat, TaskDone,
-// LeaseDone. Coordinator -> worker: Grant, Shutdown.
-inline constexpr std::uint8_t kMsgHello = 1;      // [u32 worker]
+// Message types. Worker -> coordinator: Heartbeat, LeaseDone, ShardChunk.
+// Coordinator -> worker: Grant, Shutdown, ShardAck. Types 1 and 3 were the
+// retired socketpair-only Hello and TaskDone; they stay unassigned.
 inline constexpr std::uint8_t kMsgHeartbeat = 2;  // [u32 worker][u64 lease][u64 done]
-inline constexpr std::uint8_t kMsgTaskDone = 3;   // [u64 lease][u64 index][u64 key][bytes]
 inline constexpr std::uint8_t kMsgLeaseDone = 4;  // [u64 lease]
 inline constexpr std::uint8_t kMsgGrant = 5;      // [u64 lease][u32 n][u64 index x n]
 inline constexpr std::uint8_t kMsgShutdown = 6;   // []
 
-// Multi-host transport messages (runtime/fabric/net/). Types 16+ so captures
-// are unambiguous about which transport produced them. The handshake runs
-// NetHello -> NetChallenge -> NetAuth -> NetWelcome | NetRefuse before any
-// other message is accepted; ShardChunk/ShardAck implement resumable upload
-// of the worker's fsync'd shard journal (see net/server.hpp).
+// The handshake runs NetHello -> NetChallenge -> NetAuth -> NetWelcome |
+// NetRefuse before any other message is accepted (a forked worker is sent
+// its NetWelcome straight away); ShardChunk/ShardAck implement resumable
+// upload of the worker's fsync'd shard journal, which is how results reach
+// the coordinator (see net/server.hpp).
 inline constexpr std::uint8_t kMsgNetHello = 16;
 //   [u32 proto][u32 worker][u64 salt][u64 fp][u8 reconnect][32B worker_nonce]
 inline constexpr std::uint8_t kMsgNetChallenge = 17;
@@ -80,9 +80,9 @@ class MessageChannel {
   MessageChannel(const MessageChannel&) = delete;
   MessageChannel& operator=(const MessageChannel&) = delete;
 
-  // A connected pair: first is conventionally the coordinator end, second
-  // the worker end. After fork() each process closes the end it does not
-  // own.
+  // A connected socketpair: first is conventionally the coordinator end,
+  // second the worker end. After fork() each process closes the end it does
+  // not own.
   static std::pair<MessageChannel, MessageChannel> make_pair();
 
   // Frames, checksums and writes one message. Returns false when the peer

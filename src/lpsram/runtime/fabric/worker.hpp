@@ -1,28 +1,11 @@
-// Fabric worker: the lease-executing side of the coordinator/worker pair.
-//
-// A worker owns one shard journal (a plain Campaign file) and runs the grant
-// loop: wait for a kMsgGrant, execute the granted task indices, commit each
-// result to the shard journal *before* reporting it, then kMsgLeaseDone. The
-// commit-before-send order is the fabric's core durability invariant — any
-// result the coordinator has seen is already fsync'd in a shard journal, so
-// a crash of either process never loses an acknowledged task.
-//
-// Heartbeats (kMsgHeartbeat) are sent between tasks, never concurrently with
-// one: a worker stuck inside a solve goes silent and its lease expires. The
-// configured lease timeout must therefore exceed the slowest single task —
-// that is the deal that lets the coordinator treat silence as death.
-//
-// run_fabric_worker is deliberately runnable in-process (tests drive it
-// against a loopback channel) as well as inside a fork()ed child (the normal
-// fabric deployment, see fabric.hpp).
+// What a fabric sweep hands to its workers: the task key and task functions,
+// and the deterministic fault injection the kill matrices arm. The worker
+// itself is net/remote_worker.hpp, for forked and TCP fleets alike.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
-
-#include "lpsram/runtime/fabric/wire.hpp"
 
 namespace lpsram::fabric {
 
@@ -39,46 +22,20 @@ using FabricTaskFn =
 // Deterministic fault injection for the kill matrices. All hooks are
 // one-shot and disabled at 0.
 struct WorkerChaos {
-  // _Exit(9) immediately after sending the Nth TaskDone of this worker's
-  // life — death exactly at a lease boundary, with the Nth result already
-  // committed and acknowledged.
+  // _Exit(9) immediately after the Nth result of this worker's life has been
+  // uploaded (and, over TCP, acknowledged) — death exactly at a lease
+  // boundary, with the Nth result already committed.
   std::uint64_t exit_after_results = 0;
   // Before executing the (N+1)th task, go silent for `wedge_s` seconds
   // (no heartbeat): the straggler whose lease must expire and be re-issued
   // elsewhere while this worker eventually finishes and double-commits.
   std::uint64_t wedge_after_results = 0;
   double wedge_s = 0.0;
-  // Arm ScopedJournalCrash(N) on this process: the Nth shard-journal append
-  // tears mid-record and the worker dies — the torn tail must be truncated
-  // away on resume, never merged.
+  // Arm ScopedJournalCrash(N) on this process once its shard journal is
+  // open: the Nth shard-journal append after that tears mid-record and the
+  // worker dies — the torn tail must be truncated away on resume, never
+  // merged.
   std::uint64_t crash_shard_at_append = 0;
 };
-
-struct WorkerOptions {
-  int worker_id = 0;
-  std::string shard_journal;     // this worker's Campaign file
-  double heartbeat_interval_s = 0.5;
-  std::uint64_t salt = 0;        // sweep manifest, must match coordinator
-  std::uint64_t fingerprint = 0;
-  int threads = 1;               // executor threads *inside* this worker
-  WorkerChaos chaos;
-};
-
-struct WorkerReport {
-  std::uint64_t leases_served = 0;
-  std::uint64_t tasks_executed = 0;
-  // Granted tasks whose key was already in the shard journal (a lease
-  // re-granted to its original worker): re-acknowledged without re-running.
-  std::uint64_t tasks_skipped = 0;
-};
-
-// Runs the grant loop until kMsgShutdown or channel EOF (coordinator death).
-// Throws JournalCrash when shard-append chaos fires; other lpsram::Error
-// conditions propagate too — the fork wrapper turns any escape into a
-// nonzero _Exit.
-WorkerReport run_fabric_worker(MessageChannel& channel,
-                               const WorkerOptions& options,
-                               const FabricKeyFn& key_of,
-                               const FabricTaskFn& task_fn);
 
 }  // namespace lpsram::fabric

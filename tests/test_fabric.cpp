@@ -1,13 +1,11 @@
 // Multi-process campaign-fabric suite: lease-table unit behaviour, the typed
 // wire channel, shard snapshot/merge semantics, and the kill matrices the
-// fabric exists for — worker kills at every lease boundary, coordinator
-// kills at every lease-log append, wedged-straggler re-issue with duplicate
-// reconciliation — each demanding a merged journal byte-identical to the
-// single-process golden run.
-//
-// Journals are written under ./fabric-journals/ so CI can pick them up as an
-// artifact (and decode them with tools/fabric_inspect.py) when a kill-matrix
-// assertion fails.
+// fabric exists for, run on the forked fleet — worker kills at every lease
+// boundary, coordinator kills at every lease-log append, wedged-straggler
+// re-issue with duplicate reconciliation — each demanding a merged journal
+// byte-identical to the single-process golden run. (The same server and
+// worker serve TCP fleets; test_fabric_net.cpp covers that transport. Both
+// suites run the synthetic sweep of fabric_synth.hpp.)
 //
 // Thread/sanitizer notes: the parent test process is single-threaded at
 // every fork() (TSan supports single-threaded fork), forked workers run
@@ -15,6 +13,7 @@
 // atexit machinery never runs twice.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -32,6 +31,7 @@
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/util/cancel.hpp"
 #include "lpsram/util/error.hpp"
+#include "fabric_synth.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -44,66 +44,14 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace lpsram::fabric;
-
-// Fresh per-test directory under the CI-artifact root.
-std::string fabric_dir(const std::string& name) {
-  const fs::path dir = fs::path("fabric-journals") / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-// The synthetic sweep the e2e matrices run: payloads are pure functions of
-// (seed, index) so any schedule across any fleet must merge bit-identically.
-std::vector<std::uint8_t> synth_payload(std::uint64_t seed,
-                                        std::uint64_t index) {
-  double acc = 0.0;
-  std::uint64_t h = fold_key(seed, index);
-  for (int i = 0; i < 256; ++i) {
-    h = mix64(h);
-    acc += static_cast<double>(h >> 11) * 0x1.0p-53;
-  }
-  PayloadWriter w;
-  w.u64(index);
-  w.f64(acc);
-  return w.take();
-}
-
-constexpr std::uint64_t kSeed = 0x5eedULL;
-std::uint64_t synth_key(std::uint64_t index) { return fold_key(kSeed, index); }
-
-// What an uninterrupted single-process campaign of the same sweep writes:
-// the byte-for-byte target for every merged journal below.
-std::string write_golden(const std::string& dir, std::uint64_t salt,
-                         std::uint64_t fingerprint, std::uint64_t count) {
-  const std::string path = dir + "/golden.journal";
-  fs::remove(path);
-  Campaign golden(path);
-  golden.bind_sweep(salt, fingerprint);
-  for (std::uint64_t i = 0; i < count; ++i)
-    golden.record_result(synth_key(i), synth_payload(kSeed, i));
-  return path;
-}
+using namespace lpsram::fabric_synth;
 
 FabricOptions synth_options(const std::string& dir, int workers) {
   FabricOptions options;
+  set_synth_sweep(options);
   options.dir = dir;
   options.workers = workers;
   options.worker_threads = 1;
-  options.lease_span = 2;
-  options.lease_timeout_s = 5.0;
-  options.heartbeat_interval_s = 0.05;
-  options.backoff_initial_s = 0.02;
-  options.backoff_max_s = 0.2;
-  options.salt = mix64(kSeed);
-  options.fingerprint = fold_key(kSeed, 0xF00D);
   return options;
 }
 
@@ -377,11 +325,11 @@ TEST(Merge, OpPointsSurviveIntoMergedJournal) {
 
 TEST(Wire, RoundTripsTypedMessages) {
   auto [a, b] = MessageChannel::make_pair();
-  EXPECT_TRUE(a.send(kMsgHello, {1, 2, 3}));
+  EXPECT_TRUE(a.send(kMsgHeartbeat, {1, 2, 3}));
   EXPECT_TRUE(a.send(kMsgShutdown, {}));
   WireMessage msg;
   ASSERT_EQ(b.recv(&msg, 1000), RecvStatus::Ok);
-  EXPECT_EQ(msg.type, kMsgHello);
+  EXPECT_EQ(msg.type, kMsgHeartbeat);
   EXPECT_EQ(msg.payload, (std::vector<std::uint8_t>{1, 2, 3}));
   ASSERT_EQ(b.recv(&msg, 1000), RecvStatus::Ok);
   EXPECT_EQ(msg.type, kMsgShutdown);
@@ -399,13 +347,13 @@ TEST(Wire, LargePayloadCrossesInChunks) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     b.close();
-    const bool ok = a.send(kMsgTaskDone, big);
+    const bool ok = a.send(kMsgShardChunk, big);
     std::_Exit(ok ? 0 : 1);
   }
   a.close();
   WireMessage msg;
   ASSERT_EQ(b.recv(&msg, 10000), RecvStatus::Ok);
-  EXPECT_EQ(msg.type, kMsgTaskDone);
+  EXPECT_EQ(msg.type, kMsgShardChunk);
   EXPECT_EQ(msg.payload, big);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
@@ -416,19 +364,19 @@ TEST(Wire, EofAndTimeoutSemantics) {
   auto [a, b] = MessageChannel::make_pair();
   WireMessage msg;
   EXPECT_EQ(b.recv(&msg, 50), RecvStatus::Timeout);
-  EXPECT_TRUE(a.send(kMsgHello, {7}));
+  EXPECT_TRUE(a.send(kMsgHeartbeat, {7}));
   a.close();
   // Buffered message drains before EOF is reported.
   ASSERT_EQ(b.recv(&msg, 1000), RecvStatus::Ok);
   EXPECT_EQ(msg.payload, (std::vector<std::uint8_t>{7}));
   EXPECT_EQ(b.recv(&msg, 1000), RecvStatus::Eof);
-  EXPECT_FALSE(b.send(kMsgHello, {}));
+  EXPECT_FALSE(b.send(kMsgHeartbeat, {}));
 }
 
 TEST(Wire, GarbageOnTheStreamThrows) {
   auto [a, b] = MessageChannel::make_pair();
   // A frame with a corrupted checksum: valid length, trashed crc.
-  std::vector<std::uint8_t> frame = encode_record_frame(kMsgHello, nullptr, 0);
+  std::vector<std::uint8_t> frame = encode_record_frame(kMsgHeartbeat, nullptr, 0);
   frame[4] ^= 0xFF;
   ASSERT_EQ(::write(a.fd(), frame.data(), frame.size()),
             static_cast<ssize_t>(frame.size()));
@@ -441,16 +389,8 @@ TEST(Wire, GarbageOnTheStreamThrows) {
 FabricReport run_synth(const FabricOptions& options, std::uint64_t count) {
   return run_fabric(options, count, synth_key,
                     [](std::uint64_t index, int) {
-                      return synth_payload(kSeed, index);
+                      return synth_payload(index);
                     });
-}
-
-void expect_merged_matches_golden(const FabricOptions& options,
-                                  std::uint64_t count) {
-  const std::string golden =
-      write_golden(options.dir, options.salt, options.fingerprint, count);
-  EXPECT_EQ(read_file_bytes(options.merged_path()), read_file_bytes(golden))
-      << "merged journal differs from the single-process golden";
 }
 
 TEST(Fabric, SingleWorkerMatchesGoldenByteForByte) {
@@ -508,6 +448,22 @@ TEST(Fabric, WorkerKillAtEveryLeaseBoundary) {
     }
     expect_merged_matches_golden(options, kTasks);
   }
+}
+
+// A forked worker's EOF is its death, and without a listener nobody else can
+// join: losing the last worker ends the run at once, not after the reconnect
+// grace a TCP fleet gets.
+TEST(Fabric, LastForkedWorkerDeathFailsFast) {
+  FabricOptions options = synth_options(fabric_dir("fail_fast"), 1);
+  options.lease_timeout_s = 30.0;
+  options.chaos.resize(1);
+  options.chaos[0].exit_after_results = 1;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_synth(options, 8), FabricWorkersLost);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsed, 10.0);
 }
 
 TEST(Fabric, KillOneOfFourMidRunCompletesOnSurvivors) {
@@ -605,6 +561,23 @@ TEST(Fabric, ShardFromDifferentSweepIsRefused) {
   ASSERT_TRUE(run_synth(options, 4).complete);
   options.fingerprint ^= 0xDEAD;
   EXPECT_THROW(run_synth(options, 4), InvalidArgument);
+}
+
+// The forked fleet runs on the same server as the TCP one, so it leaves the
+// same per-worker transport snapshot for fabric_inspect.py connections.
+TEST(Fabric, ForkedFleetLeavesConnectionsSnapshot) {
+  const FabricOptions options = synth_options(fabric_dir("snapshot_status"), 2);
+  ASSERT_TRUE(run_synth(options, 8).complete);
+  std::ifstream in(options.dir + "/connections.status");
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_NE(text.find("listen 0\n"), std::string::npos) << text;
+  for (const char* worker : {"worker 0 ", "worker 1 "}) {
+    const std::size_t at = text.find(worker);
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_EQ(text.compare(text.find("addr=", at), 11, "addr=forked"), 0)
+        << text;
+  }
 }
 
 TEST(Fabric, KillAllWorkersHelperSignalsPidfiles) {

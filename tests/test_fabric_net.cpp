@@ -3,10 +3,8 @@
 // workers merging byte-identical to the single-process golden run, and the
 // NetChaos kill/partition matrices — connection cuts at message boundaries,
 // corrupted frames in both directions, wedged half-open proxies, delayed
-// delivery, full-fleet loss with a fresh-fleet resume.
-//
-// Journals are written under ./fabric-journals/ so CI can pick them up as an
-// artifact when a matrix assertion fails.
+// delivery, full-fleet loss with a fresh-fleet resume — over the synthetic
+// sweep of fabric_synth.hpp.
 //
 // Process discipline matches test_fabric.cpp: the parent is single-threaded
 // at every fork(), children (workers, chaos proxies, raw misbehaving
@@ -20,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "lpsram/runtime/campaign.hpp"
 #include "lpsram/runtime/fabric/net/auth.hpp"
 #include "lpsram/runtime/fabric/net/chaos.hpp"
 #include "lpsram/runtime/fabric/net/net.hpp"
@@ -30,6 +27,7 @@
 #include "lpsram/runtime/journal.hpp"
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/util/error.hpp"
+#include "fabric_synth.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -45,61 +43,15 @@ namespace {
 namespace fs = std::filesystem;
 using namespace lpsram::fabric;
 
-constexpr std::uint64_t kSeed = 0x5eedbeefULL;
+using namespace lpsram::fabric_synth;
+
 const char* const kToken = "test-campaign-token-7391";
-
-std::string fabric_dir(const std::string& name) {
-  const fs::path dir = fs::path("fabric-journals") / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-std::vector<std::uint8_t> synth_payload(std::uint64_t seed,
-                                        std::uint64_t index) {
-  double acc = 0.0;
-  std::uint64_t h = fold_key(seed, index);
-  for (int i = 0; i < 256; ++i) {
-    h = mix64(h);
-    acc += static_cast<double>(h >> 11) * 0x1.0p-53;
-  }
-  PayloadWriter w;
-  w.u64(index);
-  w.f64(acc);
-  return w.take();
-}
-
-std::uint64_t synth_key(std::uint64_t index) { return fold_key(kSeed, index); }
-
-std::string write_golden(const std::string& dir, std::uint64_t salt,
-                         std::uint64_t fingerprint, std::uint64_t count) {
-  const std::string path = dir + "/golden.journal";
-  fs::remove(path);
-  Campaign golden(path);
-  golden.bind_sweep(salt, fingerprint);
-  for (std::uint64_t i = 0; i < count; ++i)
-    golden.record_result(synth_key(i), synth_payload(kSeed, i));
-  return path;
-}
 
 NetFabricOptions net_options(const std::string& dir) {
   NetFabricOptions options;
+  set_synth_sweep(options);
   options.dir = dir + "/server";
   options.token = kToken;
-  options.lease_span = 2;
-  options.lease_timeout_s = 5.0;
-  options.heartbeat_interval_s = 0.05;
-  options.backoff_initial_s = 0.02;
-  options.backoff_max_s = 0.2;
-  options.salt = mix64(kSeed);
-  options.fingerprint = fold_key(kSeed, 0xF00D);
   return options;
 }
 
@@ -274,7 +226,7 @@ pid_t spawn_worker(const RemoteWorkerOptions& options) {
     fs::create_directories(fs::path(options.shard_journal).parent_path());
     const RemoteWorkerReport report = run_remote_worker(
         options, [](std::uint64_t index) { return synth_key(index); },
-        [](std::uint64_t index, int) { return synth_payload(kSeed, index); });
+        [](std::uint64_t index, int) { return synth_payload(index); });
     if (report.refused != NetRefusal::None) std::_Exit(kExitRefused);
     if (report.gave_up) std::_Exit(kExitGaveUp);
     std::_Exit(report.shutdown ? kExitShutdown : kExitError);
@@ -312,23 +264,12 @@ void kill_proxy(pid_t pid) {
   waitpid(pid, &status, 0);
 }
 
-void expect_merged_matches_golden(const NetFabricOptions& options,
-                                  const std::string& golden_path) {
-  const auto merged = read_file_bytes(options.merged_path());
-  const auto golden = read_file_bytes(golden_path);
-  ASSERT_FALSE(merged.empty());
-  EXPECT_TRUE(merged == golden)
-      << options.merged_path() << " diverges from " << golden_path;
-}
-
 // ---------- happy path -------------------------------------------------------
 
 TEST(FabricNet, TwoRemoteWorkersMergeByteIdenticalToGolden) {
   const std::string dir = fabric_dir("net-two-workers");
   const NetFabricOptions options = net_options(dir);
   constexpr std::uint64_t kTasks = 16;
-  const std::string golden =
-      write_golden(dir, options.salt, options.fingerprint, kTasks);
 
   TcpListener listener;
   listener.listen("127.0.0.1", 0);
@@ -349,7 +290,7 @@ TEST(FabricNet, TwoRemoteWorkersMergeByteIdenticalToGolden) {
             0u);
   EXPECT_EQ(report.fabric.tasks_executed, kTasks);
   EXPECT_GT(report.shard_bytes_received, 0u);
-  expect_merged_matches_golden(options, golden);
+  expect_merged_matches_golden(options, kTasks);
 
   // The server kept its transport snapshot for fabric_inspect.py.
   const auto status = read_file_bytes(options.dir + "/connections.status");
@@ -478,8 +419,6 @@ TEST(FabricNet, GarbageSpewingClientIsDroppedNotFatal) {
   const std::string dir = fabric_dir("net-garbage");
   NetFabricOptions options = net_options(dir);
   constexpr std::uint64_t kTasks = 8;
-  const std::string golden =
-      write_golden(dir, options.salt, options.fingerprint, kTasks);
 
   TcpListener listener;
   listener.listen("127.0.0.1", 0);
@@ -513,7 +452,7 @@ TEST(FabricNet, GarbageSpewingClientIsDroppedNotFatal) {
   EXPECT_TRUE(reap(good, kExitShutdown));
   EXPECT_TRUE(report.fabric.complete);
   EXPECT_GE(report.connections_dropped, 1u);
-  expect_merged_matches_golden(options, golden);
+  expect_merged_matches_golden(options, kTasks);
 }
 
 TEST(FabricNet, SilentClientReapedByHandshakeDeadline) {
@@ -561,8 +500,6 @@ void run_cut_case(const std::string& name, const NetChaos& chaos,
   const std::string dir = fabric_dir(name);
   NetFabricOptions options = net_options(dir);
   constexpr std::uint64_t kTasks = 12;
-  const std::string golden =
-      write_golden(dir, options.salt, options.fingerprint, kTasks);
 
   TcpListener server_listener;
   server_listener.listen("127.0.0.1", 0);
@@ -587,7 +524,7 @@ void run_cut_case(const std::string& name, const NetChaos& chaos,
     EXPECT_GE(report.connections_dropped + report.lease_resumes, 1u)
         << "chaos never fired?";
   }
-  expect_merged_matches_golden(options, golden);
+  expect_merged_matches_golden(options, kTasks);
 }
 
 TEST(FabricNet, ReconnectResumesLeaseAfterUpstreamCut) {
@@ -638,8 +575,6 @@ TEST(FabricNetSoak, WedgedProxyLeaseReissuedToSurvivor) {
   options.lease_timeout_s = 1.0;
   options.heartbeat_interval_s = 0.05;
   constexpr std::uint64_t kTasks = 12;
-  const std::string golden =
-      write_golden(dir, options.salt, options.fingerprint, kTasks);
 
   TcpListener server_listener;
   server_listener.listen("127.0.0.1", 0);
@@ -669,7 +604,7 @@ TEST(FabricNetSoak, WedgedProxyLeaseReissuedToSurvivor) {
   kill_proxy(proxy);
   EXPECT_TRUE(report.fabric.complete);
   EXPECT_GE(report.connections_dropped, 1u);  // the wedged conn was reaped
-  expect_merged_matches_golden(options, golden);
+  expect_merged_matches_golden(options, kTasks);
 }
 
 // ---------- full-fleet loss and fresh-fleet resume ---------------------------
@@ -681,8 +616,6 @@ TEST(FabricNetSoak, FleetVanishesThenFreshFleetResumesByteIdentical) {
   options.heartbeat_interval_s = 0.05;
   options.all_lost_grace_s = 0.5;
   constexpr std::uint64_t kTasks = 24;
-  const std::string golden =
-      write_golden(dir, options.salt, options.fingerprint, kTasks);
   const auto key_of = [](std::uint64_t i) { return synth_key(i); };
 
   TcpListener listener;
@@ -726,7 +659,7 @@ TEST(FabricNetSoak, FleetVanishesThenFreshFleetResumesByteIdentical) {
   EXPECT_GT(second.fabric.tasks_recovered, 0u);
   EXPECT_EQ(second.fabric.tasks_recovered + second.fabric.tasks_executed,
             kTasks);
-  expect_merged_matches_golden(options, golden);
+  expect_merged_matches_golden(options, kTasks);
 }
 
 #endif  // LPSRAM_FABRIC_NET_POSIX

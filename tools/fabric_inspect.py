@@ -9,8 +9,9 @@ A fabric directory (see src/lpsram/runtime/fabric/fabric.hpp) holds:
     worker-N.pid          pidfiles of live (or killed-without-cleanup) workers
     worker-net-N.pid      remote-launcher pidfiles ("<pid> <hostname>") from
                           fabric_worker processes serving a --listen daemon
-    connections.status    the net coordinator's transport snapshot, rewritten
-                          atomically every 0.25s while it runs
+    connections.status    the coordinator's per-worker transport snapshot,
+                          rewritten atomically every 0.25s while it runs
+                          (forked and TCP fleets alike)
 
 Everything uses the same record framing as campaign journals —
 [u32 length][u32 crc32][u8 type + payload] after the "LPSJRNL1" magic — so
@@ -21,10 +22,11 @@ Usage:
     fabric_inspect.py status DIR       one-line rollup: leases, tasks, workers
     fabric_inspect.py dump DIR         decode every record of every journal
     fabric_inspect.py connections DIR  per-worker transport state from
-                                       connections.status: serving or
-                                       disconnected, peer address, active
-                                       lease, replicated shard bytes,
-                                       heartbeat age, reconnect count
+                                       connections.status: serving,
+                                       disconnected or (forked) exited, peer
+                                       address ("forked" for run_fabric
+                                       children), active lease, shard bytes
+                                       received, heartbeat age, reconnects
     fabric_inspect.py killall DIR      SIGKILL every pidfile'd worker on THIS
                                        host (the operator's big red button;
                                        mirrors lpsram::fabric::
@@ -51,7 +53,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from journal_inspect import Corrupt, Payload, replay  # noqa: E402
 
-# Lease-log record types (src/lpsram/runtime/fabric/coordinator.hpp).
+# Lease-log record types (src/lpsram/runtime/fabric/lease_core.hpp).
 FABLOG_NAMES = {
     1: "manifest",
     2: "lease_issued",
@@ -226,8 +228,9 @@ def cmd_dump(directory):
 # connections.status format (NetServer::write_status, net/server.cpp):
 #     # lpsram fabric-net connections v1
 #     epoch <wall-clock seconds, %.3f>
-#     listen <port>
-#     worker <id> state=<serving|disconnected> addr=<host:port|-> \
+#     listen <port, 0 for a forked fleet with no listener>
+#     worker <id> state=<serving|disconnected|exited> \
+#         addr=<host:port|forked|-> \
 #         lease=<n|-> have=<bytes> heartbeat_age=<s|-> reconnects=<n>
 CONNECTIONS_HEADER = "# lpsram fabric-net connections v1"
 
@@ -268,7 +271,7 @@ def parse_connections(text):
 def cmd_connections(directory):
     path = os.path.join(directory, "connections.status")
     if not os.path.exists(path):
-        print("connections.status: absent (no net coordinator has run here)")
+        print("connections.status: absent (no coordinator has run here)")
         return True
     try:
         with open(path) as f:
@@ -279,8 +282,9 @@ def cmd_connections(directory):
     age = time.time() - epoch
     # The server rewrites the snapshot every 0.25s; a stale one means the
     # coordinator exited (cleanly or not) and the states below are history.
-    print("listening on port %d, snapshot %.1fs old%s"
-          % (listen_port, age,
+    print("%s, snapshot %.1fs old%s"
+          % ("listening on port %d" % listen_port if listen_port
+             else "forked fleet (no listener)", age,
              " (STALE — coordinator no longer running?)" if age > 5.0 else ""))
     if not workers:
         print("no workers have ever connected")
