@@ -1,11 +1,8 @@
 #include "lpsram/core/retention_analyzer.hpp"
 
-#include <chrono>
 #include <cstdio>
 
-#include "lpsram/cell/batch_vtc.hpp"
-#include "lpsram/spice/dc_solver.hpp"
-#include "lpsram/spice/hooks.hpp"
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/testflow/case_studies.hpp"
 #include "lpsram/util/error.hpp"
 
@@ -49,125 +46,64 @@ std::vector<Fig4Point> RetentionAnalyzer::fig4_sweep(
   for (const CellTransistor t : kAllCellTransistors)
     for (const double sigma : sigmas) tasks.push_back({t, sigma});
 
-  struct Slot {
-    Fig4Point point;
-    bool ok = false;
-    bool failed = false;  // quarantined (q holds the record)
-    QuarantinedPoint q;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(tasks.size());
-
+  constexpr std::uint64_t kSalt = 0x66696734ULL;  // "fig4"
+  SweepPlan plan;
+  plan.salt = kSalt;
+  plan.count = tasks.size();
   // Stable task identity — also the campaign journal key for the point.
-  const auto key_of = [&tasks](std::size_t i) {
-    return fold_key(fold_key(0x66696734ULL,  // "fig4"
-                             static_cast<std::uint64_t>(tasks[i].transistor)),
-                    i);
+  plan.key_of = [&tasks](std::size_t i) {
+    return fold_key(
+        fold_key(kSalt, static_cast<std::uint64_t>(tasks[i].transistor)), i);
   };
 
   // Campaign manifest: sigma list and the PVT grid the worst case is taken
   // over. Resuming a journal recorded for a different grid is refused.
-  if (campaign) {
-    std::uint64_t fp = fold_key(0x66696734ULL, tasks.size());
-    for (const double sigma : sigmas) fp = fold_key(fp, key_bits(sigma));
-    for (const Corner corner : corner_grid)
-      fp = fold_key(fp, static_cast<std::uint64_t>(corner));
-    for (const double temp : temp_grid) fp = fold_key(fp, key_bits(temp));
-    // Cell-analysis kernel behind the journaled DRVs: the batched engine
-    // agrees with the scalar oracle except within solver noise of the
-    // retention fold, so a journal recorded under one kernel refuses to
-    // resume under the other instead of silently blending kernels.
-    fp = fold_key(fp, static_cast<std::uint64_t>(resolved_cell_kernel()));
-    campaign->bind_sweep(0x66696734ULL, fp);
-  }
+  std::uint64_t fp = fold_key(kSalt, tasks.size());
+  for (const double sigma : sigmas) fp = fold_key(fp, key_bits(sigma));
+  for (const Corner corner : corner_grid)
+    fp = fold_key(fp, static_cast<std::uint64_t>(corner));
+  for (const double temp : temp_grid) fp = fold_key(fp, key_bits(temp));
+  plan.fingerprint = fp;
 
-  SweepExecutorOptions exec_options;
-  exec_options.threads = threads;
-  SweepExecutor executor(exec_options);
-
-  const auto started = std::chrono::steady_clock::now();
-  const auto body = [&](std::size_t i, int) {
-    const Task& task = tasks[i];
-    Slot& slot = slots[i];
-    // The DRV search is observer-free cell-layer code, but scope the task
-    // anyway: the contract is that no executor task ever shares a session
-    // observer instance with a concurrent task.
-    const ScopedTaskObserver task_scope(key_of(i));
-    const auto task_started = std::chrono::steady_clock::now();
+  // Payload: the DRV pair (transistor and sigma are re-derived from the task
+  // index in the collection below). The DRV search is observer-free
+  // cell-layer code; the runner scopes the task anyway, since no executor
+  // task may share a session observer instance with a concurrent one.
+  plan.task = [&](SweepTask& sweep_task) {
+    const Task& task = tasks[sweep_task.index];
     CellVariation variation;
     variation.set(task.transistor, task.sigma);
-    try {
-      poll_cancel(cancel, "fig4_sweep", 0, 0.0);
-      const PvtDrvResult worst =
-          drv_ds_worst(tech_, variation, corner_grid, temp_grid);
-      slot.point =
-          Fig4Point{task.transistor, task.sigma, worst.drv.drv1, worst.drv.drv0};
-      slot.ok = true;
-    } catch (const Error& e) {
-      if (!report) throw;
-      char context[64];
-      std::snprintf(context, sizeof(context), "%s @ %+.1f sigma",
-                    cell_transistor_name(task.transistor).c_str(), task.sigma);
-      slot.failed = true;
-      slot.q = quarantined_point(context, e);
-    }
-    slot.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - task_started)
-                      .count();
-  };
-
-  // Journal payload: the DRV pair (transistor and sigma are re-derived from
-  // the task index on decode) or the quarantine record.
-  CampaignTaskCodec codec;
-  codec.encode = [&slots](std::size_t i) {
-    const Slot& slot = slots[i];
+    const PvtDrvResult worst =
+        drv_ds_worst(tech_, variation, corner_grid, temp_grid);
     PayloadWriter out;
-    out.u8(slot.ok ? 1 : 0);
-    if (slot.ok) {
-      out.f64(slot.point.drv1);
-      out.f64(slot.point.drv0);
-    } else {
-      encode_quarantine(out, slot.q);
-    }
+    out.f64(worst.drv.drv1);
+    out.f64(worst.drv.drv0);
     return out.take();
   };
-  codec.decode = [&slots, &tasks](std::size_t i, PayloadReader& in) {
-    Slot& slot = slots[i];
-    slot.ok = in.u8() != 0;
-    if (slot.ok) {
-      slot.point.transistor = tasks[i].transistor;
-      slot.point.sigma = tasks[i].sigma;
-      slot.point.drv1 = in.f64();
-      slot.point.drv0 = in.f64();
-    } else {
-      slot.failed = true;
-      slot.q = decode_quarantine(in);
-    }
+  plan.context = [&tasks](std::size_t i) {
+    char context[64];
+    std::snprintf(context, sizeof(context), "%s @ %+.1f sigma",
+                  cell_transistor_name(tasks[i].transistor).c_str(),
+                  tasks[i].sigma);
+    return std::string(context);
   };
-
-  run_campaign(executor, campaign, /*cache=*/nullptr, tasks.size(), key_of,
-               body, codec);
+  plan.quarantine = report != nullptr;
+  plan.cancel = cancel;
+  plan.cancel_label = "fig4_sweep";
+  const SweepRun run = SweepRunner(threads).run(plan, campaign);
 
   // Index-ordered collection.
   std::vector<Fig4Point> points;
   points.reserve(tasks.size());
-  SweepTelemetry sweep;
-  sweep.tasks = tasks.size();
-  sweep.threads = executor.threads();
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const Slot& slot = slots[i];
-    sweep.cpu_s += slot.wall_s;
-    if (slot.ok) {
-      points.push_back(slot.point);
-      if (report) report->add_success();
-    } else if (report) {
-      report->quarantine(slot.q);
-    }
+    if (run.tasks[i].quarantined) continue;
+    PayloadReader in(run.tasks[i].payload);
+    const double drv1 = in.f64();
+    points.push_back(
+        Fig4Point{tasks[i].transistor, tasks[i].sigma, drv1, in.f64()});
   }
-  sweep.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  if (telemetry) *telemetry = sweep;
+  if (report) report->merge(run.report);
+  if (telemetry) *telemetry = run.telemetry;
   return points;
 }
 

@@ -1,15 +1,13 @@
 #include "lpsram/regulator/characterize.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <exception>
+#include <optional>
 #include <vector>
 
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/spice/batch_transient.hpp"
-#include "lpsram/spice/hooks.hpp"
-#include "lpsram/util/simd.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/rootfind.hpp"
 #include "lpsram/util/units.hpp"
@@ -72,56 +70,38 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
     probes.push_back({Kind::Temp, temp, context});
   }
 
-  struct Slot {
-    bool ok = false;
-    double measured = 0.0;
-    bool failed = false;       // quarantined (q holds the record)
-    QuarantinedPoint q;
-    SolveTelemetry solves;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(probes.size());
-
+  SweepPlan plan;
   // Task identity for chaos forking and cache scoping: a pure function of
   // (sweep, corner, vref, probe index) — never of scheduling.
-  const std::uint64_t salt = fold_key(
-      fold_key(0x6d656173757265ULL,  // "measure"
-               static_cast<std::uint64_t>(corner)),
-      static_cast<std::uint64_t>(vref));
+  plan.salt = fold_key(fold_key(0x6d656173757265ULL,  // "measure"
+                                static_cast<std::uint64_t>(corner)),
+                       static_cast<std::uint64_t>(vref));
+  plan.count = probes.size();
+  plan.key_of = [salt = plan.salt](std::size_t i) { return fold_key(salt, i); };
 
   // Campaign manifest: the probe grid is the configuration — resuming
   // against a journal recorded for different supply/temperature lists would
   // silently mis-key tasks.
-  if (campaign) {
-    std::uint64_t fingerprint = fold_key(salt, probes.size());
-    for (const double vdd : tech.vdd_levels())
-      fingerprint = fold_key(fingerprint, key_bits(vdd));
-    for (const double temp : tech.temperatures())
-      fingerprint = fold_key(fingerprint, key_bits(temp));
-    // DC solves sit on the SIMD-kind-dependent kernels too (gathered MAC in
-    // load_multiply_add); don't blend journals across backends.
-    fingerprint =
-        fold_key(fingerprint, static_cast<std::uint64_t>(resolved_simd_kind()));
-    campaign->bind_sweep(salt, fingerprint);
-  }
+  std::uint64_t fingerprint = fold_key(plan.salt, probes.size());
+  for (const double vdd : tech.vdd_levels())
+    fingerprint = fold_key(fingerprint, key_bits(vdd));
+  for (const double temp : tech.temperatures())
+    fingerprint = fold_key(fingerprint, key_bits(temp));
+  plan.fingerprint = fingerprint;
 
-  SolveCache cache;
-  SweepExecutorOptions exec_options;
-  exec_options.threads = threads;
-  SweepExecutor executor(exec_options);
+  // A task's regulator lives in its worker's slot until the slot's next
+  // task replaces it, so its solve counters stay readable after a failure.
+  SweepRunner runner(threads);
+  std::vector<std::optional<VoltageRegulator>> regulators(
+      static_cast<std::size_t>(runner.threads()));
 
-  const auto key_of = [salt](std::size_t i) { return fold_key(salt, i); };
-
-  const auto started = std::chrono::steady_clock::now();
-  const auto body = [&](std::size_t i, int) {
-    const Probe& probe = probes[i];
-    Slot& slot = slots[i];
-    const std::uint64_t task_key = key_of(i);
-    const ScopedTaskObserver task_scope(task_key);
-    const auto task_started = std::chrono::steady_clock::now();
-
-    VoltageRegulator reg(tech, corner);
-    reg.set_solve_cache(&cache, task_key);
+  // Payload: the probe's measured value.
+  plan.task = [&](SweepTask& task) {
+    const Probe& probe = probes[task.index];
+    VoltageRegulator& reg =
+        regulators[static_cast<std::size_t>(task.worker)].emplace(tech, corner);
+    reg.set_solve_cache(task.cache, task.key);
+    task.count_solves([&reg] { return reg.solve_telemetry(); });
     if (cancel) {
       RetryLadderOptions policy = reg.solve_policy();
       policy.cancel = cancel;
@@ -130,103 +110,63 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
     reg.select_vref(vref);
     reg.set_regon(true);
     reg.set_power_switch(false);
-    try {
-      switch (probe.kind) {
-        case Kind::Line: {
-          reg.set_vdd(probe.value);
-          reg.set_regon(true);
-          reg.set_power_switch(false);
-          slot.measured = std::fabs(reg.vreg_dc(25.0) - reg.expected_vreg());
-          break;
-        }
-        case Kind::Load: {
-          reg.set_vdd(tech.vdd_nominal());
-          reg.set_regon(true);
-          reg.set_power_switch(false);
-          const double v0 = reg.vreg_dc(25.0);
-          constexpr double kLoadStep = 100e-6;
-          reg.set_test_load(kLoadStep);
-          const double v1 = reg.vreg_dc(25.0);
-          reg.set_test_load(0.0);
-          slot.measured = (v0 - v1) / kLoadStep;
-          break;
-        }
-        case Kind::Temp: {
-          const double v25 = reg.vreg_dc(25.0);
-          slot.measured = std::fabs(reg.vreg_dc(probe.value) - v25);
-          break;
-        }
+    double measured = 0.0;
+    switch (probe.kind) {
+      case Kind::Line: {
+        reg.set_vdd(probe.value);
+        reg.set_regon(true);
+        reg.set_power_switch(false);
+        measured = std::fabs(reg.vreg_dc(25.0) - reg.expected_vreg());
+        break;
       }
-      slot.ok = true;
-    } catch (const Error& e) {
-      if (!report) throw;  // no quarantine collector: fail the sweep
-      slot.failed = true;
-      slot.q = quarantined_point(probe.context, e);
+      case Kind::Load: {
+        reg.set_vdd(tech.vdd_nominal());
+        reg.set_regon(true);
+        reg.set_power_switch(false);
+        const double v0 = reg.vreg_dc(25.0);
+        constexpr double kLoadStep = 100e-6;
+        reg.set_test_load(kLoadStep);
+        const double v1 = reg.vreg_dc(25.0);
+        reg.set_test_load(0.0);
+        measured = (v0 - v1) / kLoadStep;
+        break;
+      }
+      case Kind::Temp: {
+        const double v25 = reg.vreg_dc(25.0);
+        measured = std::fabs(reg.vreg_dc(probe.value) - v25);
+        break;
+      }
     }
-    slot.solves = reg.solve_telemetry();
-    slot.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - task_started)
-                      .count();
-  };
-
-  // Slot payload: outcome + deterministic telemetry counters (timings and
-  // the `last` snapshot are outside the resume determinism contract).
-  CampaignTaskCodec codec;
-  codec.encode = [&slots](std::size_t i) {
-    const Slot& slot = slots[i];
     PayloadWriter out;
-    out.u8(slot.ok ? 1 : 0);
-    if (slot.ok)
-      out.f64(slot.measured);
-    else
-      encode_quarantine(out, slot.q);
-    encode_telemetry(out, slot.solves);
+    out.f64(measured);
     return out.take();
   };
-  codec.decode = [&slots](std::size_t i, PayloadReader& in) {
-    Slot& slot = slots[i];
-    slot.ok = in.u8() != 0;
-    if (slot.ok) {
-      slot.measured = in.f64();
-    } else {
-      slot.failed = true;
-      slot.q = decode_quarantine(in);
-    }
-    slot.solves = decode_telemetry(in);
-  };
-
-  run_campaign(executor, campaign, &cache, probes.size(), key_of, body, codec);
+  plan.context = [&probes](std::size_t i) { return probes[i].context; };
+  plan.quarantine = report != nullptr;  // no collector: fail the sweep
+  // No task-start cancel poll: the token reaches every Newton iteration.
+  plan.solve_cache = true;
+  const SweepRun run = runner.run(plan, campaign);
 
   // Index-ordered reduction.
   RegulationMetrics metrics;
-  SweepTelemetry sweep;
-  sweep.tasks = probes.size();
-  sweep.threads = executor.threads();
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    const Slot& slot = slots[i];
-    sweep.solves.merge(slot.solves);
-    sweep.cpu_s += slot.wall_s;
-    if (slot.ok) {
-      switch (probes[i].kind) {
-        case Kind::Line:
-          metrics.line_error = std::max(metrics.line_error, slot.measured);
-          break;
-        case Kind::Load:
-          metrics.load_regulation = slot.measured;
-          break;
-        case Kind::Temp:
-          metrics.temp_drift = std::max(metrics.temp_drift, slot.measured);
-          break;
-      }
-      if (report) report->add_success();
-    } else if (report) {
-      report->quarantine(slot.q);
+    if (run.tasks[i].quarantined) continue;
+    PayloadReader in(run.tasks[i].payload);
+    const double measured = in.f64();
+    switch (probes[i].kind) {
+      case Kind::Line:
+        metrics.line_error = std::max(metrics.line_error, measured);
+        break;
+      case Kind::Load:
+        metrics.load_regulation = measured;
+        break;
+      case Kind::Temp:
+        metrics.temp_drift = std::max(metrics.temp_drift, measured);
+        break;
     }
   }
-  sweep.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  if (telemetry) *telemetry = sweep;
+  if (report) report->merge(run.report);
+  if (telemetry) *telemetry = run.telemetry;
   return metrics;
 }
 

@@ -12,194 +12,53 @@ namespace {
 // TaskDone payload: [u64 task_key][driver bytes...].
 // OpPoint payload:  [u64 circuit][u64 task][u32 defect][f64 r][vec x].
 
-std::vector<std::uint8_t> encode_manifest(std::uint64_t salt,
-                                          std::uint64_t fingerprint) {
+JournalRecord manifest_record(std::uint64_t salt, std::uint64_t fingerprint) {
   PayloadWriter out;
   out.u64(salt);
   out.u64(fingerprint);
-  return out.take();
+  return JournalRecord{kRecordManifest, out.take()};
 }
 
-}  // namespace
-
-Campaign::Campaign(std::string path) {
-  const JournalReplay replay = replay_journal(path);
-  torn_tail_ = replay.torn_tail;
-
-  for (const JournalRecord& record : replay.records) {
-    PayloadReader in(record.payload);
-    switch (record.type) {
-      case kRecordManifest: {
-        const std::uint64_t salt = in.u64();
-        manifests_[salt] = in.u64();
-        break;
-      }
-      case kRecordTaskDone: {
-        const std::uint64_t key = in.u64();
-        std::vector<std::uint8_t> payload(record.payload.begin() + 8,
-                                          record.payload.end());
-        results_[key] = std::move(payload);
-        break;
-      }
-      case kRecordOpPoint: {
-        OpPoint op;
-        op.key.circuit = in.u64();
-        op.key.task = in.u64();
-        op.key.defect = static_cast<std::int32_t>(in.u32());
-        op.r = in.f64();
-        op.x = in.vec_f64();
-        replayed_ops_[op.key.task].push_back(std::move(op));
-        break;
-      }
-      default:
-        // Unknown record types are forward-compatibility, not corruption:
-        // the checksum proved the bytes intact; a newer writer just knows
-        // record kinds this reader does not. Skip.
-        break;
-    }
-  }
-
-  // Drop operating points whose task never completed (a crash landed between
-  // the op-point records and the TaskDone record). Seeding them would change
-  // the re-run task's solve sequence and break resume determinism.
-  for (auto it = replayed_ops_.begin(); it != replayed_ops_.end();) {
-    it = results_.count(it->first) ? std::next(it) : replayed_ops_.erase(it);
-  }
-
-  writer_.open(path, replay.valid_bytes);
-}
-
-Campaign::~Campaign() = default;
-
-void Campaign::bind_sweep(std::uint64_t salt, std::uint64_t fingerprint) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = manifests_.find(salt);
-  if (it != manifests_.end()) {
-    if (it->second != fingerprint)
-      throw InvalidArgument(
-          "Campaign: journal '" + writer_.path() +
-          "' was recorded with a different sweep configuration (manifest "
-          "fingerprint mismatch) — resume with the original options or use a "
-          "fresh journal");
-    return;
-  }
-  manifests_[salt] = fingerprint;
-  writer_.append(kRecordManifest, encode_manifest(salt, fingerprint));
-}
-
-const std::vector<std::uint8_t>* Campaign::find_result(
-    std::uint64_t task_key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = results_.find(task_key);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
-void Campaign::record_result(std::uint64_t task_key,
-                             const std::vector<std::uint8_t>& payload) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-
-  // Operating points first, TaskDone last: replay treats the TaskDone
-  // record as the commit point, so a crash anywhere in this sequence just
-  // re-runs the task.
-  const auto ops = pending_ops_.find(task_key);
-  if (ops != pending_ops_.end()) {
-    for (const OpPoint& op : ops->second) {
-      PayloadWriter out;
-      out.u64(op.key.circuit);
-      out.u64(op.key.task);
-      out.u32(static_cast<std::uint32_t>(op.key.defect));
-      out.f64(op.r);
-      out.vec_f64(op.x);
-      writer_.append(kRecordOpPoint, out.bytes());
-    }
-  }
-
-  PayloadWriter done;
-  done.u64(task_key);
-  std::vector<std::uint8_t> bytes = done.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  writer_.append(kRecordTaskDone, bytes);
-
-  results_[task_key] = payload;
-  if (ops != pending_ops_.end()) {
-    replayed_ops_[task_key] = std::move(ops->second);
-    pending_ops_.erase(ops);
-  }
-}
-
-void Campaign::seed_cache(SolveCache& cache) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [task, ops] : replayed_ops_)
-    for (const OpPoint& op : ops) cache.store(op.key, op.r, op.x);
-}
-
-void Campaign::note_op_point(const SolveCacheKey& key, double r,
-                             const std::vector<double>& x) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  pending_ops_[key.task].push_back(OpPoint{key, r, x});
-}
-
-void Campaign::compact() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-
-  std::vector<JournalRecord> records;
+// Manifest records in salt order, so snapshots are byte-reproducible.
+void append_manifests(
+    std::vector<JournalRecord>& records,
+    const std::unordered_map<std::uint64_t, std::uint64_t>& manifests) {
   std::vector<std::uint64_t> salts;
-  for (const auto& [salt, fp] : manifests_) salts.push_back(salt);
+  for (const auto& [salt, fp] : manifests) salts.push_back(salt);
   std::sort(salts.begin(), salts.end());
   for (const std::uint64_t salt : salts)
-    records.push_back(
-        JournalRecord{kRecordManifest, encode_manifest(salt, manifests_.at(salt))});
+    records.push_back(manifest_record(salt, manifests.at(salt)));
+}
 
-  std::vector<std::uint64_t> keys;
-  for (const auto& [key, payload] : results_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const auto ops = replayed_ops_.find(key);
-    if (ops != replayed_ops_.end()) {
-      for (const OpPoint& op : ops->second) {
-        PayloadWriter out;
-        out.u64(op.key.circuit);
-        out.u64(op.key.task);
-        out.u32(static_cast<std::uint32_t>(op.key.defect));
-        out.f64(op.r);
-        out.vec_f64(op.x);
-        records.push_back(JournalRecord{kRecordOpPoint, out.take()});
-      }
-    }
-    PayloadWriter done;
-    done.u64(key);
-    std::vector<std::uint8_t> bytes = done.take();
-    const std::vector<std::uint8_t>& payload = results_.at(key);
-    bytes.insert(bytes.end(), payload.begin(), payload.end());
-    records.push_back(JournalRecord{kRecordTaskDone, std::move(bytes)});
+// The records committing one task: its operating points, then TaskDone —
+// replay treats the TaskDone record as the commit point, so a crash anywhere
+// in this sequence just re-runs the task.
+void append_task(std::vector<JournalRecord>& records, std::uint64_t key,
+                 const ShardTask& task) {
+  for (const ShardOpPoint& op : task.ops) {
+    PayloadWriter out;
+    out.u64(op.key.circuit);
+    out.u64(op.key.task);
+    out.u32(static_cast<std::uint32_t>(op.key.defect));
+    out.f64(op.r);
+    out.vec_f64(op.x);
+    records.push_back(JournalRecord{kRecordOpPoint, out.take()});
   }
-
-  writer_.compact(records);
+  PayloadWriter done;
+  done.u64(key);
+  std::vector<std::uint8_t> bytes = done.take();
+  bytes.insert(bytes.end(), task.payload.begin(), task.payload.end());
+  records.push_back(JournalRecord{kRecordTaskDone, std::move(bytes)});
 }
 
-std::size_t Campaign::completed_tasks() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return results_.size();
-}
-
-std::vector<std::uint64_t> Campaign::task_keys() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(results_.size());
-  for (const auto& [key, payload] : results_) keys.push_back(key);
-  return keys;
-}
-
-// --- Shard snapshots and journal merge --------------------------------------
-
-ShardSnapshot read_campaign_snapshot(const std::string& path) {
-  const JournalReplay replay = replay_journal(path);
+ShardSnapshot snapshot_of(const JournalReplay& replay) {
   ShardSnapshot snapshot;
   snapshot.torn_tail = replay.torn_tail;
 
-  // Mirror of the Campaign constructor's replay, minus the writer: op points
-  // buffer until their task's TaskDone commit record arrives; points whose
-  // commit was lost to a torn tail are dropped with the task.
+  // Op points buffer until their task's TaskDone commit record arrives;
+  // points whose commit was lost to a torn tail are dropped with the task
+  // (seeding them would change the re-run task's solve sequence and break
+  // resume determinism).
   std::unordered_map<std::uint64_t, std::vector<ShardOpPoint>> pending_ops;
   for (const JournalRecord& record : replay.records) {
     PayloadReader in(record.payload);
@@ -231,10 +90,111 @@ ShardSnapshot read_campaign_snapshot(const std::string& path) {
         break;
       }
       default:
-        break;  // forward compatibility, as in Campaign::Campaign
+        // Unknown record types are forward-compatibility, not corruption:
+        // the checksum proved the bytes intact; a newer writer just knows
+        // record kinds this reader does not. Skip.
+        break;
     }
   }
   return snapshot;
+}
+
+}  // namespace
+
+Campaign::Campaign(std::string path) {
+  const JournalReplay replay = replay_journal(path);
+  state_ = snapshot_of(replay);
+  writer_.open(path, replay.valid_bytes);
+}
+
+Campaign::~Campaign() = default;
+
+void Campaign::bind_sweep(std::uint64_t salt, std::uint64_t fingerprint) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = state_.manifests.find(salt);
+  if (it != state_.manifests.end()) {
+    if (it->second != fingerprint)
+      throw InvalidArgument(
+          "Campaign: journal '" + writer_.path() +
+          "' was recorded with a different sweep configuration (manifest "
+          "fingerprint mismatch) — resume with the original options or use a "
+          "fresh journal");
+    return;
+  }
+  state_.manifests[salt] = fingerprint;
+  const JournalRecord record = manifest_record(salt, fingerprint);
+  writer_.append(record.type, record.payload);
+}
+
+const std::vector<std::uint8_t>* Campaign::find_result(
+    std::uint64_t task_key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = state_.tasks.find(task_key);
+  return it == state_.tasks.end() ? nullptr : &it->second.payload;
+}
+
+void Campaign::record_result(std::uint64_t task_key,
+                             const std::vector<std::uint8_t>& payload) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto ops = pending_ops_.find(task_key);
+  ShardTask committed{payload, {}};
+  if (ops != pending_ops_.end()) committed.ops = std::move(ops->second);
+  std::vector<JournalRecord> records;
+  append_task(records, task_key, committed);
+  for (const JournalRecord& record : records)
+    writer_.append(record.type, record.payload);
+
+  // As on replay, a task recorded again without new operating points keeps
+  // the ones committed with it before.
+  ShardTask& task = state_.tasks[task_key];
+  task.payload = std::move(committed.payload);
+  if (ops != pending_ops_.end()) {
+    task.ops = std::move(committed.ops);
+    pending_ops_.erase(ops);
+  }
+}
+
+void Campaign::seed_cache(SolveCache& cache) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, task] : state_.tasks)
+    for (const ShardOpPoint& op : task.ops) cache.store(op.key, op.r, op.x);
+}
+
+void Campaign::note_op_point(const SolveCacheKey& key, double r,
+                             const std::vector<double>& x) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  pending_ops_[key.task].push_back(ShardOpPoint{key, r, x});
+}
+
+void Campaign::compact() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<JournalRecord> records;
+  append_manifests(records, state_.manifests);
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, task] : state_.tasks) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  for (const std::uint64_t key : keys)
+    append_task(records, key, state_.tasks.at(key));
+  writer_.compact(records);
+}
+
+std::size_t Campaign::completed_tasks() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return state_.tasks.size();
+}
+
+std::vector<std::uint64_t> Campaign::task_keys() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::uint64_t> keys;
+  keys.reserve(state_.tasks.size());
+  for (const auto& [key, task] : state_.tasks) keys.push_back(key);
+  return keys;
+}
+
+// --- Shard snapshots and journal merge --------------------------------------
+
+ShardSnapshot read_campaign_snapshot(const std::string& path) {
+  return snapshot_of(replay_journal(path));
 }
 
 std::size_t merge_shard_journals(
@@ -281,35 +241,14 @@ std::size_t merge_shard_journals(
   }
 
   std::vector<JournalRecord> records;
-  {
-    std::vector<std::uint64_t> salts;
-    for (const auto& [salt, fp] : manifests) salts.push_back(salt);
-    std::sort(salts.begin(), salts.end());
-    for (const std::uint64_t salt : salts)
-      records.push_back(
-          JournalRecord{kRecordManifest, encode_manifest(salt, manifests.at(salt))});
-  }
+  append_manifests(records, manifests);
   for (const std::uint64_t key : keys_in_index_order) {
     const auto it = winners.find(key);
     if (it == winners.end())
       throw InvalidArgument("merge: task key " + std::to_string(key) +
                             " is in no shard journal — the campaign is not "
                             "complete, merge refused");
-    for (const ShardOpPoint& op : it->second->ops) {
-      PayloadWriter out;
-      out.u64(op.key.circuit);
-      out.u64(op.key.task);
-      out.u32(static_cast<std::uint32_t>(op.key.defect));
-      out.f64(op.r);
-      out.vec_f64(op.x);
-      records.push_back(JournalRecord{kRecordOpPoint, out.take()});
-    }
-    PayloadWriter done;
-    done.u64(key);
-    std::vector<std::uint8_t> bytes = done.take();
-    bytes.insert(bytes.end(), it->second->payload.begin(),
-                 it->second->payload.end());
-    records.push_back(JournalRecord{kRecordTaskDone, std::move(bytes)});
+    append_task(records, key, *it->second);
   }
 
   // Atomic publication: the merged journal appears all at once or not at
@@ -332,75 +271,7 @@ std::size_t merge_shard_journals(
   return keys_in_index_order.size();
 }
 
-// --- run_campaign ----------------------------------------------------------
-
-namespace {
-
-// Detaches the cache's store listener even if the sweep throws (including
-// an injected JournalCrash), so a later sweep never journals into a dead
-// campaign.
-class ListenerGuard {
- public:
-  ListenerGuard(Campaign* campaign, SolveCache* cache) : cache_(cache) {
-    if (cache_ && campaign) {
-      cache_->set_store_listener(
-          [campaign](const SolveCacheKey& key, double r,
-                     const std::vector<double>& x) {
-            campaign->note_op_point(key, r, x);
-          });
-      attached_ = true;
-    }
-  }
-  ~ListenerGuard() {
-    if (attached_) cache_->set_store_listener(nullptr);
-  }
-
- private:
-  SolveCache* cache_;
-  bool attached_ = false;
-};
-
-}  // namespace
-
-std::size_t run_campaign(
-    SweepExecutor& executor, Campaign* campaign, SolveCache* cache,
-    std::size_t count, const std::function<std::uint64_t(std::size_t)>& key_of,
-    const std::function<void(std::size_t index, int worker)>& body,
-    const CampaignTaskCodec& codec) {
-  if (!campaign) {
-    executor.run(count, body);
-    return 0;
-  }
-
-  // Replay pass: index order, calling thread — the same order the reduction
-  // will read the slots in.
-  std::vector<std::size_t> pending;
-  std::size_t replayed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (const std::vector<std::uint8_t>* payload =
-            campaign->find_result(key_of(i))) {
-      PayloadReader reader(*payload);
-      codec.decode(i, reader);
-      ++replayed;
-    } else {
-      pending.push_back(i);
-    }
-  }
-
-  // Warm starts for surviving tasks come back before any new store can be
-  // confused with a replayed one: seed first, then attach the listener.
-  if (cache) campaign->seed_cache(*cache);
-  const ListenerGuard guard(campaign, cache);
-
-  executor.run(pending.size(), [&](std::size_t j, int worker) {
-    const std::size_t index = pending[j];
-    body(index, worker);
-    campaign->record_result(key_of(index), codec.encode(index));
-  });
-  return replayed;
-}
-
-// --- Shared slot-payload helpers -------------------------------------------
+// --- Payload helpers -------------------------------------------------------
 
 void encode_quarantine(PayloadWriter& out, const QuarantinedPoint& point) {
   out.str(point.context);
@@ -419,36 +290,14 @@ QuarantinedPoint decode_quarantine(PayloadReader& in) {
 }
 
 void encode_telemetry(PayloadWriter& out, const SolveTelemetry& t) {
-  out.u64(t.solves);
-  out.u64(t.warm_hits);
-  out.u64(t.fallbacks);
-  out.u64(t.degraded);
-  out.u64(t.failures);
-  out.u64(t.timeouts);
-  out.u64(t.cancels);
-  out.u64(t.non_finite);
-  for (const std::uint64_t rung : t.rung_attempts) out.u64(rung);
-  out.u64(t.cache_hits);
-  out.u64(t.cache_misses);
-  out.u64(t.cache_stores);
+  for (const std::uint64_t* counter : telemetry_counters(t)) out.u64(*counter);
 }
 
 SolveTelemetry decode_telemetry(PayloadReader& in) {
   // Deterministic counters only: the `last` outcome snapshot and all
   // timings are excluded from the resume determinism contract.
   SolveTelemetry t;
-  t.solves = in.u64();
-  t.warm_hits = in.u64();
-  t.fallbacks = in.u64();
-  t.degraded = in.u64();
-  t.failures = in.u64();
-  t.timeouts = in.u64();
-  t.cancels = in.u64();
-  t.non_finite = in.u64();
-  for (std::uint64_t& rung : t.rung_attempts) rung = in.u64();
-  t.cache_hits = in.u64();
-  t.cache_misses = in.u64();
-  t.cache_stores = in.u64();
+  for (std::uint64_t* counter : telemetry_counters(t)) *counter = in.u64();
   return t;
 }
 

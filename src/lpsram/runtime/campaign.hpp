@@ -1,15 +1,13 @@
 // Crash-resumable campaign layer over SweepExecutor + the journal.
 //
-// A Campaign owns one journal file and exposes three things to a sweep
-// driver:
-//   * bind_sweep(salt, fingerprint) — registers the driver's configuration
+// A Campaign owns one journal file and exposes three things to the sweep
+// runner (runtime/sweep.hpp):
+//   * bind_sweep(salt, fingerprint) — registers a sweep's configuration
 //     under its task-key salt; resuming against a journal recorded with a
 //     different configuration (different PVT grid, tolerances, ...) is
 //     refused instead of silently mixing results.
-//   * run_campaign(...) — the executor wrapper: replays finished tasks into
-//     their result slots from the journal (in index order, on the calling
-//     thread), runs only the pending indices through the executor, and
-//     journals each task's encoded slot as it finishes.
+//   * find_result / record_result — each finished task's payload, journaled
+//     as the task finishes and replayed by key on resume.
 //   * seed_cache(...) / operating-point journaling — completed tasks'
 //     DC operating points are journaled with them, and on resume they are
 //     seeded back into the SolveCache so surviving tasks keep their warm
@@ -25,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -41,6 +38,31 @@ namespace lpsram {
 inline constexpr std::uint8_t kRecordManifest = 1;   // salt + config fingerprint
 inline constexpr std::uint8_t kRecordTaskDone = 2;   // task key + driver payload
 inline constexpr std::uint8_t kRecordOpPoint = 3;    // cached operating point
+
+// One journaled operating point, verbatim.
+struct ShardOpPoint {
+  SolveCacheKey key;
+  double r = 0.0;
+  std::vector<double> x;
+};
+
+// One completed task recovered from a journal: the journaled result payload
+// plus the operating points committed with it.
+struct ShardTask {
+  std::vector<std::uint8_t> payload;
+  std::vector<ShardOpPoint> ops;
+};
+
+// What a campaign/shard journal holds. read_campaign_snapshot is a read-only
+// replay: no writer is opened, no torn tail is truncated on disk — safe to
+// call on files another process may still be appending to (records past the
+// snapshot are simply not seen yet).
+struct ShardSnapshot {
+  std::unordered_map<std::uint64_t, std::uint64_t> manifests;  // salt -> fp
+  std::unordered_map<std::uint64_t, ShardTask> tasks;          // by task key
+  bool torn_tail = false;
+};
+ShardSnapshot read_campaign_snapshot(const std::string& path);
 
 class Campaign {
  public:
@@ -75,7 +97,7 @@ class Campaign {
   void seed_cache(SolveCache& cache) const;
 
   // Buffers an operating point for journaling with its task's completion
-  // record (wired to SolveCache::set_store_listener by run_campaign).
+  // record (wired to SolveCache::set_store_listener by SweepRunner).
   void note_op_point(const SolveCacheKey& key, double r,
                      const std::vector<double>& x);
 
@@ -89,77 +111,23 @@ class Campaign {
   // Keys of every completed task, unordered. The fabric worker uses this to
   // skip tasks its shard journal already holds when a lease is re-granted.
   std::vector<std::uint64_t> task_keys() const;
-  bool resumed_from_torn_tail() const noexcept { return torn_tail_; }
+  bool resumed_from_torn_tail() const noexcept { return state_.torn_tail; }
 
  private:
-  struct OpPoint {
-    SolveCacheKey key;
-    double r = 0.0;
-    std::vector<double> x;
-  };
-
   mutable std::mutex mutex_;
   JournalWriter writer_;
-  bool torn_tail_ = false;
-  std::unordered_map<std::uint64_t, std::uint64_t> manifests_;  // salt -> fp
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> results_;
-  // Operating points replayed from the journal, grouped by task key.
-  std::unordered_map<std::uint64_t, std::vector<OpPoint>> replayed_ops_;
+  // Manifests and completed tasks, replayed and recorded alike.
+  ShardSnapshot state_;
   // Points buffered by note_op_point for tasks still in flight.
-  std::unordered_map<std::uint64_t, std::vector<OpPoint>> pending_ops_;
+  std::unordered_map<std::uint64_t, std::vector<ShardOpPoint>> pending_ops_;
 };
-
-// Encodes a finished slot i into its journal payload / decodes a journaled
-// payload back into slot i. Both run on the coordinating thread except
-// encode, which runs on the worker that finished the task.
-struct CampaignTaskCodec {
-  std::function<std::vector<std::uint8_t>(std::size_t index)> encode;
-  std::function<void(std::size_t index, PayloadReader& reader)> decode;
-};
-
-// Runs an indexed sweep through `executor` with optional campaign
-// durability. With campaign == nullptr this is exactly executor.run(). With
-// a campaign: journaled tasks are decoded into their slots (index order,
-// calling thread) and skipped; pending tasks run through the executor and
-// are journaled via codec.encode as each finishes; `cache` (optional) is
-// seeded from the journal and its store listener attached for the duration
-// of the run. Returns the number of replayed (skipped) tasks.
-std::size_t run_campaign(
-    SweepExecutor& executor, Campaign* campaign, SolveCache* cache,
-    std::size_t count, const std::function<std::uint64_t(std::size_t)>& key_of,
-    const std::function<void(std::size_t index, int worker)>& body,
-    const CampaignTaskCodec& codec);
 
 // ---------------------------------------------------------------------------
-// Shard snapshots and journal merge (the fabric's durability substrate).
-
-// One operating point replayed from a shard journal, verbatim.
-struct ShardOpPoint {
-  SolveCacheKey key;
-  double r = 0.0;
-  std::vector<double> x;
-};
-
-// One completed task recovered from a shard journal: the journaled result
-// payload plus the operating points committed with it.
-struct ShardTask {
-  std::vector<std::uint8_t> payload;
-  std::vector<ShardOpPoint> ops;
-};
-
-// Read-only replay of a campaign/shard journal: no writer is opened, no torn
-// tail is truncated on disk — safe to call on files another process may still
-// be appending to (records past the snapshot are simply not seen yet).
-struct ShardSnapshot {
-  std::unordered_map<std::uint64_t, std::uint64_t> manifests;  // salt -> fp
-  std::unordered_map<std::uint64_t, ShardTask> tasks;          // by task key
-  bool torn_tail = false;
-};
-ShardSnapshot read_campaign_snapshot(const std::string& path);
+// Journal merge (the fabric's durability substrate).
 
 // Merges worker shard journals into one campaign journal at `out_path`,
 // records ordered by `keys_in_index_order` (the sweep's task-index order, so
-// replaying the merged journal through run_campaign yields tables
+// replaying the merged journal through SweepRunner yields tables
 // bit-identical to an uninterrupted single-process run). Rules:
 //   * every key must be present in at least one shard — a gap throws
 //     InvalidArgument (the coordinator only merges once all leases closed);
@@ -178,8 +146,8 @@ std::size_t merge_shard_journals(
     const std::vector<std::uint64_t>& keys_in_index_order,
     std::uint64_t* duplicates = nullptr);
 
-// Shared slot-payload helpers so every driver serializes quarantine records
-// and telemetry counters identically.
+// Payload helpers for quarantine records and telemetry counters (the sweep
+// runner frames quarantined and solve-counting tasks with them).
 void encode_quarantine(PayloadWriter& out, const QuarantinedPoint& point);
 QuarantinedPoint decode_quarantine(PayloadReader& in);
 void encode_telemetry(PayloadWriter& out, const SolveTelemetry& t);

@@ -269,14 +269,6 @@ std::size_t SolveCache::size() const {
 // ---------------------------------------------------------------------------
 // SweepTelemetry
 
-void SweepTelemetry::merge(const SweepTelemetry& other) {
-  tasks += other.tasks;
-  threads = std::max(threads, other.threads);
-  wall_s += other.wall_s;
-  cpu_s += other.cpu_s;
-  solves.merge(other.solves);
-}
-
 std::string SweepTelemetry::summary() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),

@@ -234,10 +234,6 @@ struct SweepTelemetry {
                  : 0.0;
   }
 
-  // Folds another sweep's telemetry into this one (tasks/timings add,
-  // threads takes the max, solves merge).
-  void merge(const SweepTelemetry& other);
-
   // "12 tasks on 4 threads: 312 solves, 58.3% cache hits, 1.9 s wall
   //  (7.1 s cpu)"
   std::string summary() const;

@@ -64,38 +64,19 @@ void SolveTelemetry::record(const SolveOutcome& outcome) {
 }
 
 void SolveTelemetry::merge(const SolveTelemetry& other) {
-  solves += other.solves;
-  warm_hits += other.warm_hits;
-  fallbacks += other.fallbacks;
-  degraded += other.degraded;
-  failures += other.failures;
-  timeouts += other.timeouts;
-  cancels += other.cancels;
-  non_finite += other.non_finite;
-  for (std::size_t i = 0; i < rung_attempts.size(); ++i)
-    rung_attempts[i] += other.rung_attempts[i];
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_stores += other.cache_stores;
+  const auto mine = telemetry_counters(*this);
+  const auto theirs = telemetry_counters(other);
+  for (std::size_t i = 0; i < mine.size(); ++i) *mine[i] += *theirs[i];
   if (other.solves > 0) last = other.last;
 }
 
 SolveTelemetry telemetry_delta(const SolveTelemetry& before,
                                const SolveTelemetry& after) {
   SolveTelemetry delta;
-  delta.solves = after.solves - before.solves;
-  delta.warm_hits = after.warm_hits - before.warm_hits;
-  delta.fallbacks = after.fallbacks - before.fallbacks;
-  delta.degraded = after.degraded - before.degraded;
-  delta.failures = after.failures - before.failures;
-  delta.timeouts = after.timeouts - before.timeouts;
-  delta.cancels = after.cancels - before.cancels;
-  delta.non_finite = after.non_finite - before.non_finite;
-  for (std::size_t i = 0; i < delta.rung_attempts.size(); ++i)
-    delta.rung_attempts[i] = after.rung_attempts[i] - before.rung_attempts[i];
-  delta.cache_hits = after.cache_hits - before.cache_hits;
-  delta.cache_misses = after.cache_misses - before.cache_misses;
-  delta.cache_stores = after.cache_stores - before.cache_stores;
+  const auto out = telemetry_counters(delta);
+  const auto a = telemetry_counters(after);
+  const auto b = telemetry_counters(before);
+  for (std::size_t i = 0; i < out.size(); ++i) *out[i] = *a[i] - *b[i];
   delta.last = after.last;
   return delta;
 }

@@ -97,6 +97,22 @@ struct SolveTelemetry {
   void reset() { *this = SolveTelemetry{}; }
 };
 
+// Pointers to every counter of `t` (const or not), in the one order
+// telemetry merges, subtracts and journals in. `last` is a snapshot, not a
+// counter.
+template <typename Telemetry>
+auto telemetry_counters(Telemetry& t) {
+  std::array<decltype(&t.solves), 11 + kSolveStrategyCount> counters{
+      &t.solves,   &t.warm_hits, &t.fallbacks, &t.degraded,
+      &t.failures, &t.timeouts,  &t.cancels,   &t.non_finite};
+  for (std::size_t i = 0; i < kSolveStrategyCount; ++i)
+    counters[8 + i] = &t.rung_attempts[i];
+  counters[8 + kSolveStrategyCount] = &t.cache_hits;
+  counters[9 + kSolveStrategyCount] = &t.cache_misses;
+  counters[10 + kSolveStrategyCount] = &t.cache_stores;
+  return counters;
+}
+
 // Counter-wise difference (after - before) of two snapshots of the same
 // telemetry instance; `last` is taken from `after`. Used by sweep drivers to
 // attribute solves to individual tasks.

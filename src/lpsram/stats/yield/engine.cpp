@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -13,7 +12,6 @@
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/stats/yield/counter_rng.hpp"
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/simd.hpp"
 
 namespace lpsram {
 namespace {
@@ -276,7 +274,7 @@ std::uint64_t YieldPlan::key_of(std::size_t index) const noexcept {
                   index);
 }
 
-std::uint64_t YieldPlan::fingerprint() const {
+std::uint64_t YieldPlan::configuration_fingerprint() const {
   std::uint64_t fp = fold_key(kSalt, task_count_);
   fp = fold_key(fp, options_.rows);
   fp = fold_key(fp, options_.cols);
@@ -302,19 +300,32 @@ std::uint64_t YieldPlan::fingerprint() const {
   fp = fold_key(fp, options_.vreg_grid.size());
   for (const double v : options_.vreg_grid) fp = fold_key(fp, key_bits(v));
   // The trained surrogate defines both the blockade gate and the importance
-  // direction; the cell kernel defines the exact solves behind the journaled
-  // counts. Either changing silently would blend incompatible estimates.
+  // direction; changing it silently would blend incompatible estimates.
   fp = fold_key(fp, surrogate_->fingerprint());
-  fp = fold_key(fp, static_cast<std::uint64_t>(resolved_cell_kernel()));
-  // The SIMD backend kind shifts solver outcomes within ulp-level noise;
-  // refuse to resume a journal recorded under the other kind.
-  fp = fold_key(fp, static_cast<std::uint64_t>(resolved_simd_kind()));
   // The exact-batch kind is result-neutral by construction, but the folded
   // fingerprint is the *claim* of that neutrality a resumed journal can
   // check: refusing a mixed resume is how the bit-identity contract stays
   // falsifiable instead of assumed.
   fp = fold_key(fp, static_cast<std::uint64_t>(resolved_yield_exact_batch()));
   return fp;
+}
+
+std::uint64_t YieldPlan::fingerprint() const {
+  // The cell kernel and SIMD backend behind the exact solves move the
+  // journaled counts within solver noise; fold them as every sweep does.
+  return fold_kernel_kinds(configuration_fingerprint());
+}
+
+SweepPlan YieldPlan::sweep_plan(const CancelToken* cancel) const {
+  SweepPlan plan;
+  plan.salt = kSalt;
+  plan.fingerprint = configuration_fingerprint();
+  plan.count = task_count_;
+  plan.key_of = [this](std::size_t index) { return key_of(index); };
+  plan.task = [this, cancel](SweepTask& task) {
+    return encode_block(sample_block(task.index, cancel));
+  };
+  return plan;
 }
 
 double YieldPlan::importance_weight(const CellVariation& v) const {
@@ -349,7 +360,11 @@ BlockAccum YieldPlan::run_block(std::size_t index,
   // Scope any session chaos observer to this task, matching the executor
   // contract that concurrent tasks never share an observer instance.
   const ScopedTaskObserver task_scope(key_of(index));
+  return sample_block(index, cancel);
+}
 
+BlockAccum YieldPlan::sample_block(std::size_t index,
+                                   const CancelToken* cancel) const {
   const bool importance = options_.mode == YieldMode::ImportanceSampled;
   const std::vector<double>& grid = options_.vreg_grid;
 
@@ -559,80 +574,33 @@ YieldResult YieldPlan::reduce(const std::vector<BlockAccum>& blocks) const {
   return result;
 }
 
+namespace {
+
+// Decodes a run's blocks in index order and reduces them into the curve.
+YieldResult reduce_run(const YieldPlan& plan, const SweepRun& run) {
+  std::vector<BlockAccum> blocks;
+  blocks.reserve(run.tasks.size());
+  for (const SweepResult& task : run.tasks) {
+    PayloadReader in(task.payload);
+    blocks.push_back(plan.decode_block(in));
+  }
+  YieldResult result = plan.reduce(blocks);
+  result.telemetry = run.telemetry;
+  return result;
+}
+
+}  // namespace
+
 YieldResult run_yield(const YieldPlan& plan, Campaign* campaign,
                       const CancelToken* cancel) {
-  if (campaign) campaign->bind_sweep(YieldPlan::kSalt, plan.fingerprint());
-
-  struct Slot {
-    BlockAccum acc;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(plan.task_count());
-
-  SweepExecutorOptions exec_options;
-  exec_options.threads = plan.options().threads;
-  SweepExecutor executor(exec_options);
-
-  const auto key_of = [&plan](std::size_t i) { return plan.key_of(i); };
-  const auto body = [&](std::size_t i, int) {
-    const auto started = std::chrono::steady_clock::now();
-    slots[i].acc = plan.run_block(i, cancel);
-    slots[i].wall_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - started)
-                          .count();
-  };
-
-  CampaignTaskCodec codec;
-  codec.encode = [&](std::size_t i) { return plan.encode_block(slots[i].acc); };
-  codec.decode = [&](std::size_t i, PayloadReader& in) {
-    slots[i].acc = plan.decode_block(in);
-  };
-
-  const auto sweep_started = std::chrono::steady_clock::now();
-  run_campaign(executor, campaign, /*cache=*/nullptr, plan.task_count(),
-               key_of, body, codec);
-
-  std::vector<BlockAccum> blocks;
-  blocks.reserve(slots.size());
-  SweepTelemetry telemetry;
-  telemetry.tasks = slots.size();
-  telemetry.threads = executor.threads();
-  for (Slot& slot : slots) {
-    telemetry.cpu_s += slot.wall_s;
-    blocks.push_back(std::move(slot.acc));
-  }
-  telemetry.wall_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - sweep_started)
-                         .count();
-
-  YieldResult result = plan.reduce(blocks);
-  result.telemetry = telemetry;
-  return result;
+  return reduce_run(plan, SweepRunner(plan.options().threads)
+                              .run(plan.sweep_plan(cancel), campaign));
 }
 
 YieldResult reduce_yield_journal(const YieldPlan& plan,
                                  const std::string& journal_path) {
-  const ShardSnapshot snapshot = read_campaign_snapshot(journal_path);
-  const auto manifest = snapshot.manifests.find(YieldPlan::kSalt);
-  if (manifest == snapshot.manifests.end() ||
-      manifest->second != plan.fingerprint())
-    throw InvalidArgument(
-        "reduce_yield_journal: journal was recorded for a different yield "
-        "configuration");
-
-  std::vector<BlockAccum> blocks;
-  blocks.reserve(plan.task_count());
-  for (std::size_t i = 0; i < plan.task_count(); ++i) {
-    const auto task = snapshot.tasks.find(plan.key_of(i));
-    if (task == snapshot.tasks.end())
-      throw InvalidArgument("reduce_yield_journal: journal is missing task " +
-                            std::to_string(i));
-    PayloadReader in(task->second.payload);
-    blocks.push_back(plan.decode_block(in));
-  }
-  YieldResult result = plan.reduce(blocks);
-  result.telemetry.tasks = plan.task_count();
-  return result;
+  return reduce_run(plan,
+                    replay_sweep_journal(plan.sweep_plan(nullptr), journal_path));
 }
 
 std::string yield_summary_line(const YieldPlan& plan,

@@ -29,10 +29,10 @@
 // bit-identical at any thread count, across a crash-resumed campaign
 // journal, and across a fabric fleet sharding blocks over worker processes.
 // The plan exposes exactly the (count, key_of, fingerprint, pure task)
-// quadruple that SweepExecutor, run_campaign and fabric::run_fabric consume;
-// the manifest fingerprint folds the full configuration, the trained
-// surrogate and the resolved cell kernel, so a resumed or fleet-sharded run
-// refuses to mix configurations instead of silently blending estimates.
+// quadruple that SweepRunner and fabric::run_fabric consume; the manifest
+// fingerprint folds the full configuration, the trained surrogate and the
+// resolved kernel kinds, so a resumed or fleet-sharded run refuses to mix
+// configurations instead of silently blending estimates.
 #pragma once
 
 #include <array>
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "lpsram/runtime/campaign.hpp"
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/stats/array_stats.hpp"
 #include "lpsram/stats/yield/estimator.hpp"
 #include "lpsram/util/cancel.hpp"
@@ -189,7 +190,9 @@ class YieldPlan {
 
   std::size_t task_count() const noexcept { return task_count_; }
   std::uint64_t key_of(std::size_t index) const noexcept;
-  // Folds options, vreg grid, surrogate and the resolved cell kernel.
+  // Folds options, vreg grid, surrogate, the exact-batch kind and the
+  // resolved kernel kinds (fold_kernel_kinds): the manifest run_yield binds
+  // and the one a fabric fleet must bind.
   std::uint64_t fingerprint() const;
 
   // Samples one block of cells and returns its sufficient statistics. Pure:
@@ -219,7 +222,19 @@ class YieldPlan {
   const PilotShiftResult& pilot() const noexcept { return pilot_; }
 
  private:
+  friend YieldResult run_yield(const YieldPlan&, Campaign*,
+                               const CancelToken*);
+  friend YieldResult reduce_yield_journal(const YieldPlan&,
+                                          const std::string&);
+
   void run_pilot_shift_search();
+  // The plan as SweepRunner consumes it. Its tasks sample unscoped because
+  // the runner scopes every task itself; run_block scopes for callers that
+  // run blocks on their own (a fabric fleet).
+  SweepPlan sweep_plan(const CancelToken* cancel) const;
+  BlockAccum sample_block(std::size_t index, const CancelToken* cancel) const;
+  // fingerprint() before the kernel kinds are folded in.
+  std::uint64_t configuration_fingerprint() const;
   const Technology* tech_;
   const DrvSurrogate* surrogate_;
   YieldEngineOptions options_;

@@ -1,15 +1,9 @@
 #include "lpsram/testflow/defect_characterization.hpp"
 
 #include <algorithm>
-#include <chrono>
 
-#include "lpsram/cell/batch_vtc.hpp"
-#include "lpsram/spice/batch_transient.hpp"
-#include "lpsram/spice/dc_solver.hpp"
-#include "lpsram/spice/hooks.hpp"
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/rootfind.hpp"
-#include "lpsram/util/simd.hpp"
 
 namespace lpsram {
 
@@ -55,7 +49,7 @@ double DefectCharacterizer::cs_drv(const CaseStudy& cs, Corner corner,
   return drv;
 }
 
-std::vector<std::vector<DefectCsResult>> DefectCharacterizer::run_cells(
+std::vector<std::vector<DefectCsResult>> DefectCharacterizer::table(
     std::span<const DefectId> defects, std::span<const CaseStudy> case_studies,
     SweepTelemetry* total) const {
   // One task per (defect, case study, PVT point); each task bisects the
@@ -78,68 +72,7 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::run_cells(
         tasks.push_back(
             {d * case_studies.size() + c, defects[d], &case_studies[c], p});
 
-  struct Slot {
-    bool detectable = false;   // threshold found below r_high
-    double threshold = 0.0;
-    VrefLevel vref = VrefLevel::V070;
-    bool failed = false;       // quarantined failure (q holds the record)
-    QuarantinedPoint q;
-    SolveTelemetry solves;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(tasks.size());
-
-  // Task identity: a pure function of what the task computes, shared by
-  // characterize() and table() so both produce identical cells — and stable
-  // across runs, which is what lets a campaign journal replay it.
-  const auto key_of = [&tasks](std::size_t t) {
-    const Task& task = tasks[t];
-    return fold_key(
-        fold_key(fold_key(fold_key(0x7461626c653249ULL,  // "table2I"
-                                   static_cast<std::uint64_t>(task.id)),
-                          static_cast<std::uint64_t>(task.cs->index)),
-                 task.cs->degrades_one ? 1u : 0u),
-        task.pvt_index);
-  };
-
-  // Campaign manifest: everything that shapes a task's result. Resuming a
-  // journal recorded with a different grid or tolerance must be refused,
-  // not silently mixed.
-  if (options_.campaign) {
-    std::uint64_t fp = fold_key(0x7461626c653249ULL, tasks.size());
-    for (const DefectId id : defects)
-      fp = fold_key(fp, static_cast<std::uint64_t>(id));
-    for (const CaseStudy& cs : case_studies)
-      fp = fold_key(fold_key(fp, static_cast<std::uint64_t>(cs.index)),
-                    cs.degrades_one ? 1u : 0u);
-    for (const PvtPoint& pvt : options_.pvt) {
-      fp = fold_key(fp, static_cast<std::uint64_t>(pvt.corner));
-      fp = fold_key(fp, key_bits(pvt.vdd));
-      fp = fold_key(fp, key_bits(pvt.temp_c));
-    }
-    for (const double v :
-         {options_.r_low, options_.r_high, options_.rel_tolerance,
-          options_.ds_time, worst_drv_})
-      fp = fold_key(fp, key_bits(v));
-    // The cell-analysis kernel feeding the cached DRVs: batched DRV
-    // extraction agrees with the scalar oracle except within solver noise
-    // of the retention fold, so mixing kernels across a resume is refused
-    // outright rather than silently blending near-identical tables.
-    fp = fold_key(fp,
-                  static_cast<std::uint64_t>(resolved_cell_kernel()));
-    // Likewise the SIMD backend kind and the transient batching kind: both
-    // perturb thresholds within solver noise, so a resume must not mix
-    // journals recorded under different kernels.
-    fp = fold_key(fp, static_cast<std::uint64_t>(resolved_simd_kind()));
-    fp = fold_key(fp,
-                  static_cast<std::uint64_t>(resolved_transient_batch_kind()));
-    options_.campaign->bind_sweep(0x7461626c653249ULL, fp);
-  }
-
-  SolveCache cache;
-  SweepExecutorOptions exec_options;
-  exec_options.threads = options_.threads;
-  SweepExecutor executor(exec_options);
+  SweepRunner runner(options_.threads);
 
   // Worker-slot-private characterizers, one per case study actually touched
   // (the weak cells of the case study load the regulator, so instances
@@ -148,8 +81,7 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::run_cells(
   struct WorkerState {
     std::map<int, std::unique_ptr<RegulatorCharacterizer>> chars;
   };
-  std::vector<WorkerState> workers(
-      static_cast<std::size_t>(executor.threads()));
+  std::vector<WorkerState> workers(static_cast<std::size_t>(runner.threads()));
 
   const auto characterizer_for = [&](int worker,
                                      const CaseStudy& cs) -> RegulatorCharacterizer& {
@@ -178,97 +110,84 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::run_cells(
     return *found->second;
   };
 
-  const auto started = std::chrono::steady_clock::now();
-  const auto body = [&](std::size_t t, int worker) {
+  constexpr std::uint64_t kSalt = 0x7461626c653249ULL;  // "table2I"
+  SweepPlan plan;
+  plan.salt = kSalt;
+  plan.count = tasks.size();
+  // Task identity: a pure function of what the task computes, shared by
+  // characterize() and table() so both produce identical cells — and stable
+  // across runs, which is what lets a campaign journal replay it.
+  plan.key_of = [&tasks](std::size_t t) {
     const Task& task = tasks[t];
-    const CaseStudy& cs = *task.cs;
-    const PvtPoint& pvt = options_.pvt[task.pvt_index];
-    Slot& slot = slots[t];
-
-    const std::uint64_t task_key = key_of(t);
-    const ScopedTaskObserver task_scope(task_key);
-    const auto task_started = std::chrono::steady_clock::now();
-
-    RegulatorCharacterizer& characterizer = characterizer_for(worker, cs);
-    characterizer.set_solve_cache(options_.solve_cache ? &cache : nullptr,
-                                  task_key);
-    const SolveTelemetry before = characterizer.solve_telemetry();
-
-    try {
-      // A cancel that lands between tasks skips the whole point up front
-      // (the per-iteration polls inside the Newton loops handle mid-solve).
-      poll_cancel(options_.cancel, "DefectCharacterizer", 0, 0.0);
-
-      DsCondition condition;
-      condition.corner = pvt.corner;
-      condition.vdd = pvt.vdd;
-      condition.vref = vref_for_vdd(pvt.vdd, worst_drv_);
-      condition.temp_c = pvt.temp_c;
-      condition.ds_time = options_.ds_time;
-      slot.vref = condition.vref;
-
-      const double drv = cs_drv(cs, pvt.corner, pvt.temp_c);
-      // Gate-site defects batch each bisection round's speculative probes
-      // into one lockstep transient run (characterize.hpp); everything else
-      // is the scalar monotone_threshold_log over causes_drf.
-      const double r = characterizer.drf_threshold(
-          condition, task.id, options_.r_low, options_.r_high,
-          options_.rel_tolerance, drv);
-      if (r <= options_.r_high) {
-        slot.detectable = true;
-        slot.threshold = r;
-      }
-    } catch (const Error& e) {
-      if (!options_.quarantine) throw;  // executor: fail fast, rethrow first
-      slot.failed = true;
-      slot.q = quarantined_point("Df" + std::to_string(task.id) + " x " +
-                                     cs.name() + " @ " + pvt_name(pvt),
-                                 e);
-    }
-
-    slot.solves = telemetry_delta(before, characterizer.solve_telemetry());
-    slot.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - task_started)
-                      .count();
+    return fold_key(
+        fold_key(fold_key(fold_key(kSalt, static_cast<std::uint64_t>(task.id)),
+                          static_cast<std::uint64_t>(task.cs->index)),
+                 task.cs->degrades_one ? 1u : 0u),
+        task.pvt_index);
   };
 
-  // Slot payload for the campaign journal: outcome + deterministic solve
-  // counters (timings are outside the resume determinism contract).
-  CampaignTaskCodec codec;
-  codec.encode = [&slots](std::size_t t) {
-    const Slot& slot = slots[t];
+  // Campaign manifest: everything that shapes a task's result. Resuming a
+  // journal recorded with a different grid or tolerance must be refused,
+  // not silently mixed.
+  std::uint64_t fp = fold_key(kSalt, tasks.size());
+  for (const DefectId id : defects)
+    fp = fold_key(fp, static_cast<std::uint64_t>(id));
+  for (const CaseStudy& cs : case_studies)
+    fp = fold_key(fold_key(fp, static_cast<std::uint64_t>(cs.index)),
+                  cs.degrades_one ? 1u : 0u);
+  for (const PvtPoint& pvt : options_.pvt) {
+    fp = fold_key(fp, static_cast<std::uint64_t>(pvt.corner));
+    fp = fold_key(fp, key_bits(pvt.vdd));
+    fp = fold_key(fp, key_bits(pvt.temp_c));
+  }
+  for (const double v :
+       {options_.r_low, options_.r_high, options_.rel_tolerance,
+        options_.ds_time, worst_drv_})
+    fp = fold_key(fp, key_bits(v));
+  plan.fingerprint = fp;
+
+  // Payload: the threshold and its Vref when a DRF fires below r_high,
+  // nothing when the point stays open.
+  plan.task = [&](SweepTask& sweep_task) {
+    const Task& task = tasks[sweep_task.index];
+    const PvtPoint& pvt = options_.pvt[task.pvt_index];
+    RegulatorCharacterizer& characterizer =
+        characterizer_for(sweep_task.worker, *task.cs);
+    characterizer.set_solve_cache(sweep_task.cache, sweep_task.key);
+    sweep_task.count_solves(
+        [&characterizer] { return characterizer.solve_telemetry(); });
+
+    DsCondition condition;
+    condition.corner = pvt.corner;
+    condition.vdd = pvt.vdd;
+    condition.vref = vref_for_vdd(pvt.vdd, worst_drv_);
+    condition.temp_c = pvt.temp_c;
+    condition.ds_time = options_.ds_time;
+
+    const double drv = cs_drv(*task.cs, pvt.corner, pvt.temp_c);
+    // Gate-site defects batch each bisection round's speculative probes
+    // into one lockstep transient run (characterize.hpp); everything else
+    // is the scalar monotone_threshold_log over causes_drf.
+    const double r = characterizer.drf_threshold(
+        condition, task.id, options_.r_low, options_.r_high,
+        options_.rel_tolerance, drv);
     PayloadWriter out;
-    out.u8(slot.failed ? 2 : slot.detectable ? 1 : 0);
-    if (slot.failed) {
-      encode_quarantine(out, slot.q);
-    } else if (slot.detectable) {
-      out.f64(slot.threshold);
-      out.u8(static_cast<std::uint8_t>(slot.vref));
+    if (r <= options_.r_high) {
+      out.f64(r);
+      out.u8(static_cast<std::uint8_t>(condition.vref));
     }
-    encode_telemetry(out, slot.solves);
     return out.take();
   };
-  codec.decode = [&slots](std::size_t t, PayloadReader& in) {
-    Slot& slot = slots[t];
-    switch (in.u8()) {
-      case 2:
-        slot.failed = true;
-        slot.q = decode_quarantine(in);
-        break;
-      case 1:
-        slot.detectable = true;
-        slot.threshold = in.f64();
-        slot.vref = static_cast<VrefLevel>(in.u8());
-        break;
-      default:
-        break;  // ran clean, threshold above r_high
-    }
-    slot.solves = decode_telemetry(in);
+  plan.context = [&](std::size_t t) {
+    const Task& task = tasks[t];
+    return "Df" + std::to_string(task.id) + " x " + task.cs->name() + " @ " +
+           pvt_name(options_.pvt[task.pvt_index]);
   };
-
-  run_campaign(executor, options_.campaign,
-               options_.solve_cache ? &cache : nullptr, tasks.size(), key_of,
-               body, codec);
+  plan.quarantine = options_.quarantine;
+  plan.cancel = options_.cancel;
+  plan.cancel_label = "DefectCharacterizer";
+  plan.solve_cache = options_.solve_cache;
+  const SweepRun run = runner.run(plan, options_.campaign);
 
   // Index-ordered reduction: PVT-grid order within each cell, exactly the
   // order the serial loop used.
@@ -282,46 +201,40 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::run_cells(
       result.min_resistance = options_.r_high * 2.0;
       result.open_only = true;
       result.telemetry.tasks = grid;
-      result.telemetry.threads = executor.threads();
+      result.telemetry.threads = runner.threads();
     }
   }
-  SweepTelemetry sweep;
-  sweep.tasks = tasks.size();
-  sweep.threads = executor.threads();
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const Task& task = tasks[t];
-    const Slot& slot = slots[t];
+    const SweepResult& outcome = run.tasks[t];
     DefectCsResult& result = rows[task.cell / case_studies.size()]
                                  [task.cell % case_studies.size()];
-    const PvtPoint& pvt = options_.pvt[task.pvt_index];
+    result.telemetry.solves.merge(outcome.solves);
+    result.telemetry.cpu_s += outcome.wall_s;
 
-    result.telemetry.solves.merge(slot.solves);
-    result.telemetry.cpu_s += slot.wall_s;
-    sweep.solves.merge(slot.solves);
-    sweep.cpu_s += slot.wall_s;
-
-    if (slot.failed) {
+    if (outcome.quarantined) {
       // Partial results beat none: record the point as untrusted and keep
       // the rest of the grid.
-      result.sweep.quarantine(slot.q);
+      result.sweep.quarantine(*outcome.quarantined);
       continue;
     }
     result.sweep.add_success();
-    if (slot.detectable && slot.threshold < result.min_resistance) {
-      result.min_resistance = slot.threshold;
+    PayloadReader in(outcome.payload);
+    if (in.done()) continue;  // no DRF below r_high at this point
+    const double threshold = in.f64();
+    const auto vref = static_cast<VrefLevel>(in.u8());
+    if (threshold < result.min_resistance) {
+      result.min_resistance = threshold;
       result.open_only = false;
-      result.worst_pvt = pvt;
-      result.vref_at_worst = slot.vref;
+      result.worst_pvt = options_.pvt[task.pvt_index];
+      result.vref_at_worst = vref;
     }
   }
   for (auto& row : rows)
     for (DefectCsResult& result : row)
       if (result.open_only) result.min_resistance = options_.r_high;
 
-  sweep.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  if (total) *total = sweep;
+  if (total) *total = run.telemetry;
   return rows;
 }
 
@@ -329,16 +242,10 @@ DefectCsResult DefectCharacterizer::characterize(DefectId id,
                                                  const CaseStudy& cs) const {
   SweepTelemetry total;
   std::vector<std::vector<DefectCsResult>> rows =
-      run_cells({&id, 1}, {&cs, 1}, &total);
+      table({&id, 1}, {&cs, 1}, &total);
   DefectCsResult result = std::move(rows[0][0]);
   result.telemetry.wall_s = total.wall_s;  // single cell: sweep == cell
   return result;
-}
-
-std::vector<std::vector<DefectCsResult>> DefectCharacterizer::table(
-    std::span<const DefectId> defects, std::span<const CaseStudy> case_studies,
-    SweepTelemetry* total) const {
-  return run_cells(defects, case_studies, total);
 }
 
 }  // namespace lpsram

@@ -108,14 +108,6 @@ class DefectCharacterizer {
   // safe to share across tasks.
   double cs_drv(const CaseStudy& cs, Corner corner, double temp_c) const;
 
-  // Shared engine of characterize()/table(): runs the flattened task grid
-  // and reduces each cell in PVT order. Cells are row-major over
-  // (defects x case_studies); `total` (optional) receives the sweep-wide
-  // telemetry including wall-clock.
-  std::vector<std::vector<DefectCsResult>> run_cells(
-      std::span<const DefectId> defects,
-      std::span<const CaseStudy> case_studies, SweepTelemetry* total) const;
-
   Technology tech_;
   DefectCharacterizationOptions options_;
   double worst_drv_ = 0.0;

@@ -1,12 +1,10 @@
 #include "lpsram/testflow/flow_optimizer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 
-#include "lpsram/spice/dc_solver.hpp"
-#include "lpsram/spice/hooks.hpp"
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/rootfind.hpp"
 
@@ -82,67 +80,49 @@ DetectionMatrix FlowOptimizer::build_matrix(
       tasks.push_back({ci, di});
   }
 
-  struct Slot {
-    double rmin = 0.0;
-    bool ok = false;
-    bool failed = false;  // quarantined (q holds the record)
-    QuarantinedPoint q;
-    SolveTelemetry solves;
-    double wall_s = 0.0;
-  };
-  std::vector<Slot> slots(tasks.size());
-
+  constexpr std::uint64_t kSalt = 0x7461626c653349ULL;  // "table3I"
+  SweepPlan plan;
+  plan.salt = kSalt;
+  plan.count = tasks.size();
   // Stable task identity (condition index x defect) — also the campaign
   // journal key for the entry.
-  const auto key_of = [&](std::size_t t) {
-    return fold_key(fold_key(0x7461626c653349ULL,  // "table3I"
-                             tasks[t].ci),
+  plan.key_of = [&](std::size_t t) {
+    return fold_key(fold_key(kSalt, tasks[t].ci),
                     static_cast<std::uint64_t>(matrix.defects[tasks[t].di]));
   };
 
   // Campaign manifest: the condition grid, defect list and every knob that
   // shapes an entry. A journal recorded under different options is refused.
-  if (options_.campaign) {
-    std::uint64_t fp = fold_key(0x7461626c653349ULL, tasks.size());
-    for (const TestCondition& tc : matrix.conditions) {
-      fp = fold_key(fp, key_bits(tc.vdd));
-      fp = fold_key(fp, static_cast<std::uint64_t>(tc.vref));
-      fp = fold_key(fp, key_bits(tc.ds_time));
-    }
-    for (const DefectId id : matrix.defects)
-      fp = fold_key(fp, static_cast<std::uint64_t>(id));
-    fp = fold_key(fp, static_cast<std::uint64_t>(options_.corner));
-    for (const double v : {options_.temp_c, options_.r_low, options_.r_high,
-                           options_.rel_tolerance, worst_drv_, options_.guard,
-                           drv})
-      fp = fold_key(fp, key_bits(v));
-    options_.campaign->bind_sweep(0x7461626c653349ULL, fp);
+  std::uint64_t fp = fold_key(kSalt, tasks.size());
+  for (const TestCondition& tc : matrix.conditions) {
+    fp = fold_key(fp, key_bits(tc.vdd));
+    fp = fold_key(fp, static_cast<std::uint64_t>(tc.vref));
+    fp = fold_key(fp, key_bits(tc.ds_time));
   }
+  for (const DefectId id : matrix.defects)
+    fp = fold_key(fp, static_cast<std::uint64_t>(id));
+  fp = fold_key(fp, static_cast<std::uint64_t>(options_.corner));
+  for (const double v : {options_.temp_c, options_.r_low, options_.r_high,
+                         options_.rel_tolerance, worst_drv_, options_.guard,
+                         drv})
+    fp = fold_key(fp, key_bits(v));
+  plan.fingerprint = fp;
 
-  SolveCache cache;
-  SweepExecutorOptions exec_options;
-  exec_options.threads = options_.threads;
-  SweepExecutor executor(exec_options);
-
+  SweepRunner runner(options_.threads);
   // One characterizer per worker slot: instances carry mutable solve state
   // and must not be shared across concurrent tasks.
   std::vector<std::unique_ptr<RegulatorCharacterizer>> workers(
-      static_cast<std::size_t>(executor.threads()));
+      static_cast<std::size_t>(runner.threads()));
   ArrayLoadModel::Options load;
   load.total_cells = 256 * 1024;
 
-  const auto started = std::chrono::steady_clock::now();
-  const auto body = [&](std::size_t t, int worker) {
-    const Task& task = tasks[t];
+  // Payload: the entry's Rmin.
+  plan.task = [&](SweepTask& sweep_task) {
+    const Task& task = tasks[sweep_task.index];
     const TestCondition& tc = matrix.conditions[task.ci];
     const DefectId id = matrix.defects[task.di];
-    Slot& slot = slots[t];
 
-    const std::uint64_t task_key = key_of(t);
-    const ScopedTaskObserver task_scope(task_key);
-    const auto task_started = std::chrono::steady_clock::now();
-
-    auto& characterizer = workers[static_cast<std::size_t>(worker)];
+    auto& characterizer = workers[static_cast<std::size_t>(sweep_task.worker)];
     if (!characterizer) {
       characterizer =
           std::make_unique<RegulatorCharacterizer>(tech_, load, options_.flip);
@@ -153,86 +133,44 @@ DetectionMatrix FlowOptimizer::build_matrix(
         characterizer->set_solve_policy(policy);
       }
     }
-    characterizer->set_solve_cache(options_.solve_cache ? &cache : nullptr,
-                                   task_key);
-    const SolveTelemetry before = characterizer->solve_telemetry();
+    characterizer->set_solve_cache(sweep_task.cache, sweep_task.key);
+    sweep_task.count_solves(
+        [&characterizer] { return characterizer->solve_telemetry(); });
 
-    try {
-      poll_cancel(options_.cancel, "FlowOptimizer", 0, 0.0);
-
-      DsCondition condition;
-      condition.corner = options_.corner;
-      condition.vdd = tc.vdd;
-      condition.vref = tc.vref;
-      condition.temp_c = options_.temp_c;
-      condition.ds_time = tc.ds_time;
-      slot.rmin = monotone_threshold_log(
-          [&](double ohms) {
-            return characterizer->causes_drf(condition, id, ohms, drv);
-          },
-          options_.r_low, options_.r_high, options_.rel_tolerance);
-      slot.ok = true;
-    } catch (const Error& e) {
-      if (!options_.quarantine) throw;
-      slot.failed = true;
-      slot.q = quarantined_point(tc.str() + " x Df" + std::to_string(id), e);
-    }
-
-    slot.solves = telemetry_delta(before, characterizer->solve_telemetry());
-    slot.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - task_started)
-                      .count();
-  };
-
-  // Journal payload per entry: outcome + deterministic solve counters.
-  CampaignTaskCodec codec;
-  codec.encode = [&slots](std::size_t t) {
-    const Slot& slot = slots[t];
+    DsCondition condition;
+    condition.corner = options_.corner;
+    condition.vdd = tc.vdd;
+    condition.vref = tc.vref;
+    condition.temp_c = options_.temp_c;
+    condition.ds_time = tc.ds_time;
     PayloadWriter out;
-    out.u8(slot.ok ? 1 : 0);
-    if (slot.ok)
-      out.f64(slot.rmin);
-    else
-      encode_quarantine(out, slot.q);
-    encode_telemetry(out, slot.solves);
+    out.f64(monotone_threshold_log(
+        [&](double ohms) {
+          return characterizer->causes_drf(condition, id, ohms, drv);
+        },
+        options_.r_low, options_.r_high, options_.rel_tolerance));
     return out.take();
   };
-  codec.decode = [&slots](std::size_t t, PayloadReader& in) {
-    Slot& slot = slots[t];
-    slot.ok = in.u8() != 0;
-    if (slot.ok) {
-      slot.rmin = in.f64();
-    } else {
-      slot.failed = true;
-      slot.q = decode_quarantine(in);
-    }
-    slot.solves = decode_telemetry(in);
+  plan.context = [&](std::size_t t) {
+    return matrix.conditions[tasks[t].ci].str() + " x Df" +
+           std::to_string(matrix.defects[tasks[t].di]);
   };
+  plan.quarantine = options_.quarantine;
+  plan.cancel = options_.cancel;
+  plan.cancel_label = "FlowOptimizer";
+  plan.solve_cache = options_.solve_cache;
+  const SweepRun run = runner.run(plan, options_.campaign);
 
-  run_campaign(executor, options_.campaign,
-               options_.solve_cache ? &cache : nullptr, tasks.size(), key_of,
-               body, codec);
-
-  // (condition, defect)-ordered reduction, matching the serial loop.
-  matrix.telemetry.tasks = tasks.size();
-  matrix.telemetry.threads = executor.threads();
+  // (condition, defect)-ordered reduction, matching the serial loop. A
+  // quarantined entry keeps the "not detectable" sentinel and stays in the
+  // coverage accounting.
+  matrix.sweep = run.report;
+  matrix.telemetry = run.telemetry;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const Task& task = tasks[t];
-    const Slot& slot = slots[t];
-    matrix.telemetry.solves.merge(slot.solves);
-    matrix.telemetry.cpu_s += slot.wall_s;
-    if (slot.ok) {
-      matrix.rmin[task.ci][task.di] = slot.rmin;
-      matrix.sweep.add_success();
-    } else {
-      // Leave the "not detectable" sentinel in place and record the entry
-      // so coverage accounting stays honest.
-      matrix.sweep.quarantine(slot.q);
-    }
+    if (run.tasks[t].quarantined) continue;
+    PayloadReader in(run.tasks[t].payload);
+    matrix.rmin[tasks[t].ci][tasks[t].di] = in.f64();
   }
-  matrix.telemetry.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
   return matrix;
 }
 

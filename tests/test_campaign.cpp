@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/core/retention_analyzer.hpp"
 #include "lpsram/regulator/characterize.hpp"
 #include "lpsram/runtime/campaign.hpp"
@@ -22,9 +23,13 @@
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/runtime/retry_ladder.hpp"
 #include "lpsram/spice/netlist.hpp"
+#include "lpsram/stats/drv_surrogate.hpp"
+#include "lpsram/stats/yield/engine.hpp"
 #include "lpsram/testflow/defect_characterization.hpp"
+#include "lpsram/testflow/flow_optimizer.hpp"
 #include "lpsram/util/cancel.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/simd.hpp"
 
 namespace lpsram {
 namespace {
@@ -405,6 +410,121 @@ TEST(KillReplay, Fig4SweepResumesBitIdentically) {
     EXPECT_EQ(resumed[i].drv0, golden[i].drv0);
   }
 }
+
+// ---------- one kernel fold for every journaled driver ----------------------
+
+// Every journaled driver binds its manifest through the sweep runner's one
+// kernel fold, so a journal recorded under a non-default SIMD backend or
+// cell kernel is refused when resumed under the defaults (and resumes under
+// the kind it was recorded with).
+enum class Driver { Table2, Table3, Fig4, Regulation, Yield };
+enum class Kernel { ScalarSimd, ScalarCellKernel };
+
+const DrvSurrogate& surrogate() {
+  static const DrvSurrogate s = DrvSurrogate::train(tech());
+  return s;
+}
+
+// One small journaled run of `driver`.
+void run_journaled(Driver driver, Campaign* campaign) {
+  switch (driver) {
+    case Driver::Table2: {
+      DefectCharacterizationOptions o;
+      o.pvt = {PvtPoint{Corner::FastNSlowP, 1.0, 125.0}};
+      o.rel_tolerance = 1.10;
+      o.threads = 1;
+      o.campaign = campaign;
+      DefectCharacterizer(tech(), o).characterize(16, case_study(1, true));
+      break;
+    }
+    case Driver::Table3: {
+      FlowOptimizer::Options o;
+      o.rel_tolerance = 1.10;
+      o.threads = 1;
+      o.campaign = campaign;
+      const std::vector<DefectId> defects = {16};
+      FlowOptimizer(tech(), o).build_matrix(defects);
+      break;
+    }
+    case Driver::Fig4: {
+      const std::vector<double> sigmas = {3.0};
+      const std::vector<Corner> corners = {Corner::Typical};
+      const std::vector<double> temps = {25.0};
+      RetentionAnalyzer(tech()).fig4_sweep(sigmas, corners, temps, nullptr,
+                                           nullptr, 1, campaign);
+      break;
+    }
+    case Driver::Regulation:
+      measure_regulation(tech(), Corner::Typical, VrefLevel::V070, nullptr,
+                         nullptr, 1, campaign);
+      break;
+    case Driver::Yield: {
+      YieldEngineOptions o;
+      o.rows = 32;
+      o.cols = 16;
+      o.trials = 1;
+      o.vreg_grid = {0.30};
+      o.block_cells = 256;
+      o.threads = 1;
+      run_yield(YieldPlan(tech(), surrogate(), o), campaign);
+      break;
+    }
+  }
+}
+
+const char* driver_name(Driver driver) {
+  switch (driver) {
+    case Driver::Table2: return "Table2";
+    case Driver::Table3: return "Table3";
+    case Driver::Fig4: return "Fig4";
+    case Driver::Regulation: return "Regulation";
+    case Driver::Yield: return "Yield";
+  }
+  return "unknown";
+}
+
+class KernelFold
+    : public ::testing::TestWithParam<std::tuple<Driver, Kernel>> {};
+
+TEST_P(KernelFold, JournalFromAnotherKernelIsRefused) {
+  const auto [driver, kernel] = GetParam();
+  const std::string path = journal_path(
+      std::string("kernel_fold_") + driver_name(driver) +
+      (kernel == Kernel::ScalarSimd ? "_simd" : "_cell") + ".journal");
+  surrogate();  // trained once, under the default kernels
+  const auto under_kind = [kernel](const auto& body) {
+    if (kernel == Kernel::ScalarSimd) {
+      const ScopedSimdDefault scope(SimdKind::Scalar);
+      body();
+    } else {
+      const ScopedCellKernelDefault scope(CellKernelKind::Scalar);
+      body();
+    }
+  };
+  {
+    Campaign campaign(path);
+    under_kind([&] { run_journaled(driver, &campaign); });
+  }
+  {
+    Campaign campaign(path);
+    under_kind([&] { EXPECT_NO_THROW(run_journaled(driver, &campaign)); });
+  }
+  Campaign campaign(path);
+  EXPECT_THROW(run_journaled(driver, &campaign), InvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FiveDrivers, KernelFold,
+    ::testing::Combine(::testing::Values(Driver::Table2, Driver::Table3,
+                                         Driver::Fig4, Driver::Regulation,
+                                         Driver::Yield),
+                       ::testing::Values(Kernel::ScalarSimd,
+                                         Kernel::ScalarCellKernel)),
+    [](const ::testing::TestParamInfo<std::tuple<Driver, Kernel>>& info) {
+      return std::string(driver_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == Kernel::ScalarSimd ? "_ScalarSimd"
+                                                            : "_ScalarCell");
+    });
 
 // ---------- cooperative cancellation ----------------------------------------
 
