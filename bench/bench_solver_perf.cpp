@@ -3,14 +3,12 @@
 // steps, SNM and DRV extraction, and March execution throughput.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "build_type_warning.hpp"
-#include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/cell/drv.hpp"
 #include "lpsram/cell/snm.hpp"
 #include "lpsram/device/mosfet_lanes.hpp"
@@ -19,8 +17,8 @@
 #include "lpsram/regulator/regulator.hpp"
 #include "lpsram/spice/batch_transient.hpp"
 #include "lpsram/spice/dc_solver.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/simd.hpp"
-#include "lpsram/util/sparse.hpp"
 
 namespace lpsram {
 namespace {
@@ -44,8 +42,8 @@ BENCHMARK(BM_MosfetEval);
 // BM_RegulatorDcWarm (no suffix) measure the production default (sparse);
 // the Sparse/Dense-suffixed variants are the head-to-head comparison
 // tools/check_bench_solver.py gates CI on.
-void regulator_dc_cold(benchmark::State& state, LinearSolverKind kind) {
-  const ScopedLinearSolverDefault kernel(kind);
+void regulator_dc_cold(benchmark::State& state, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::linear_solver, kernel);
   VoltageRegulator reg(tech(), Corner::Typical);
   reg.set_vdd(1.1);
   reg.select_vref(VrefLevel::V070);
@@ -55,8 +53,8 @@ void regulator_dc_cold(benchmark::State& state, LinearSolverKind kind) {
   }
 }
 
-void regulator_dc_warm(benchmark::State& state, LinearSolverKind kind) {
-  const ScopedLinearSolverDefault kernel(kind);
+void regulator_dc_warm(benchmark::State& state, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::linear_solver, kernel);
   VoltageRegulator reg(tech(), Corner::Typical);
   reg.set_vdd(1.1);
   reg.select_vref(VrefLevel::V070);
@@ -67,32 +65,32 @@ void regulator_dc_warm(benchmark::State& state, LinearSolverKind kind) {
 }
 
 void BM_RegulatorDcCold(benchmark::State& state) {
-  regulator_dc_cold(state, default_linear_solver());
+  regulator_dc_cold(state, kernel_config().linear_solver);
 }
 BENCHMARK(BM_RegulatorDcCold);
 
 void BM_RegulatorDcColdSparse(benchmark::State& state) {
-  regulator_dc_cold(state, LinearSolverKind::Sparse);
+  regulator_dc_cold(state, Kernel::Production);
 }
 BENCHMARK(BM_RegulatorDcColdSparse);
 
 void BM_RegulatorDcColdDense(benchmark::State& state) {
-  regulator_dc_cold(state, LinearSolverKind::Dense);
+  regulator_dc_cold(state, Kernel::Reference);
 }
 BENCHMARK(BM_RegulatorDcColdDense);
 
 void BM_RegulatorDcWarm(benchmark::State& state) {
-  regulator_dc_warm(state, default_linear_solver());
+  regulator_dc_warm(state, kernel_config().linear_solver);
 }
 BENCHMARK(BM_RegulatorDcWarm);
 
 void BM_RegulatorDcWarmSparse(benchmark::State& state) {
-  regulator_dc_warm(state, LinearSolverKind::Sparse);
+  regulator_dc_warm(state, Kernel::Production);
 }
 BENCHMARK(BM_RegulatorDcWarmSparse);
 
 void BM_RegulatorDcWarmDense(benchmark::State& state) {
-  regulator_dc_warm(state, LinearSolverKind::Dense);
+  regulator_dc_warm(state, Kernel::Reference);
 }
 BENCHMARK(BM_RegulatorDcWarmDense);
 
@@ -110,16 +108,16 @@ BENCHMARK(BM_DsEntryTransient);
 // variants measure the production default (batched); the Scalar/Batched
 // pair is the head-to-head comparison tools/check_bench_solver.py gates CI
 // on (batched must stay >= 3x faster than the scalar oracle).
-void hold_snm_bench(benchmark::State& state, CellKernelKind kind) {
-  const ScopedCellKernelDefault kernel(kind);
+void hold_snm_bench(benchmark::State& state, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::cell, kernel);
   const CoreCell cell(tech());
   for (auto _ : state) {
     benchmark::DoNotOptimize(hold_snm(cell, StoredBit::One, 0.8, 25.0));
   }
 }
 
-void drv_extraction_bench(benchmark::State& state, CellKernelKind kind) {
-  const ScopedCellKernelDefault kernel(kind);
+void drv_extraction_bench(benchmark::State& state, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::cell, kernel);
   CellVariation v;
   v.mpcc1 = -3;
   v.mncc1 = -3;
@@ -130,41 +128,40 @@ void drv_extraction_bench(benchmark::State& state, CellKernelKind kind) {
 }
 
 void BM_HoldSnm(benchmark::State& state) {
-  hold_snm_bench(state, default_cell_kernel());
+  hold_snm_bench(state, kernel_config().cell);
 }
 BENCHMARK(BM_HoldSnm);
 
 void BM_HoldSnmScalar(benchmark::State& state) {
-  hold_snm_bench(state, CellKernelKind::Scalar);
+  hold_snm_bench(state, Kernel::Reference);
 }
 BENCHMARK(BM_HoldSnmScalar);
 
 void BM_HoldSnmBatched(benchmark::State& state) {
-  hold_snm_bench(state, CellKernelKind::Batched);
+  hold_snm_bench(state, Kernel::Production);
 }
 BENCHMARK(BM_HoldSnmBatched);
 
 void BM_DrvExtraction(benchmark::State& state) {
-  drv_extraction_bench(state, default_cell_kernel());
+  drv_extraction_bench(state, kernel_config().cell);
 }
 BENCHMARK(BM_DrvExtraction);
 
 void BM_DrvExtractionScalar(benchmark::State& state) {
-  drv_extraction_bench(state, CellKernelKind::Scalar);
+  drv_extraction_bench(state, Kernel::Reference);
 }
 BENCHMARK(BM_DrvExtractionScalar);
 
 void BM_DrvExtractionBatched(benchmark::State& state) {
-  drv_extraction_bench(state, CellKernelKind::Batched);
+  drv_extraction_bench(state, Kernel::Production);
 }
 BENCHMARK(BM_DrvExtractionBatched);
 
-// Lane-parallel MOSFET evaluation on a pinned SIMD kind: the Scalar/Simd
+// Lane-parallel MOSFET evaluation on a pinned SIMD kernel: the Scalar/Simd
 // pair is the head-to-head comparison tools/check_bench_solver.py gates CI
 // on (the vectorized lanes must stay >= 2x the scalar-lane throughput).
 // Items processed = device evaluations, so the JSON carries items/sec.
-void mosfet_eval_lanes_bench(benchmark::State& state, SimdKind kind) {
-  const ScopedSimdDefault scope(kind);
+void mosfet_eval_lanes_bench(benchmark::State& state, Kernel kernel) {
   const Mosfet m{tech().cell_pulldown()};
   const MosfetLaneConsts c = mosfet_lane_consts(m, 25.0);
   constexpr std::size_t kLanes = 256;  // multiple of every native width
@@ -175,7 +172,7 @@ void mosfet_eval_lanes_bench(benchmark::State& state, SimdKind kind) {
     vd[i] = 1.1 - 0.9 * static_cast<double>(i) / (kLanes - 1);
   }
   for (auto _ : state) {
-    if (resolved_simd_kind() == SimdKind::Simd) {
+    if (kernel == Kernel::Production) {
       using V = simd::Vec;
       for (std::size_t i = 0; i < kLanes; i += simd::kNativeWidth) {
         const MosEvalV<V> e =
@@ -201,66 +198,14 @@ void mosfet_eval_lanes_bench(benchmark::State& state, SimdKind kind) {
 }
 
 void BM_MosfetEvalLanesScalar(benchmark::State& state) {
-  mosfet_eval_lanes_bench(state, SimdKind::Scalar);
+  mosfet_eval_lanes_bench(state, Kernel::Reference);
 }
 BENCHMARK(BM_MosfetEvalLanesScalar);
 
 void BM_MosfetEvalLanesSimd(benchmark::State& state) {
-  mosfet_eval_lanes_bench(state, SimdKind::Simd);
+  mosfet_eval_lanes_bench(state, Kernel::Production);
 }
 BENCHMARK(BM_MosfetEvalLanesSimd);
-
-// Numeric refactor throughput of the compiled sparse-LU program (the
-// multiply-subtract runs that dominate every Newton iteration) on a banded,
-// diagonally dominant matrix. The band is wide enough (mean mul run well
-// past the analyze-time profitability floor) that the vector MAC path is
-// actually exercised — narrow bands fall back to the scalar program by
-// design and would make the two variants measure the same code. Reported
-// for both SIMD kinds; items processed = multiply-subtract ops per refactor.
-SparseMatrix banded_matrix(std::size_t n, int half_band) {
-  std::vector<int> row_ptr(n + 1, 0);
-  std::vector<int> cols;
-  for (std::size_t r = 0; r < n; ++r) {
-    const int lo = std::max(0, static_cast<int>(r) - half_band);
-    const int hi = std::min(static_cast<int>(n) - 1,
-                            static_cast<int>(r) + half_band);
-    for (int ccol = lo; ccol <= hi; ++ccol) cols.push_back(ccol);
-    row_ptr[r + 1] = static_cast<int>(cols.size());
-  }
-  SparseMatrix a(n, std::move(row_ptr), std::move(cols));
-  for (std::size_t r = 0; r < n; ++r)
-    for (int s = a.row_ptr()[r]; s < a.row_ptr()[r + 1]; ++s) {
-      const int ccol = a.cols()[s];
-      a.values()[s] =
-          static_cast<int>(r) == ccol
-              ? 12.0 + 0.03 * static_cast<double>(r)
-              : -1.0 / (1.0 + std::abs(static_cast<int>(r) - ccol));
-    }
-  return a;
-}
-
-void sparse_lu_mac_bench(benchmark::State& state, SimdKind kind) {
-  const ScopedSimdDefault scope(kind);
-  const SparseMatrix a = banded_matrix(192, 24);
-  SparseLu lu;
-  lu.factor(a);  // analysis pass; the timed loop is numeric-only refactors
-  for (auto _ : state) {
-    lu.factor(a);
-    benchmark::DoNotOptimize(&lu);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lu.refactor_ops()));
-}
-
-void BM_SparseLuMacScalar(benchmark::State& state) {
-  sparse_lu_mac_bench(state, SimdKind::Scalar);
-}
-BENCHMARK(BM_SparseLuMacScalar);
-
-void BM_SparseLuMacSimd(benchmark::State& state) {
-  sparse_lu_mac_bench(state, SimdKind::Simd);
-}
-BENCHMARK(BM_SparseLuMacSimd);
 
 // Df-battery transient characterization workload: one gate-line defect of
 // the regulator (the transient DRF mechanism) swept over 32 log-spaced
@@ -269,9 +214,8 @@ BENCHMARK(BM_SparseLuMacSimd);
 // per-defect oracle (one TransientSolver per lane); Lockstep marches all 32
 // through spice/batch_transient. The pair is gated in CI (lockstep must
 // stay >= 3x). Items processed = lane transients.
-void defect_transients_bench(benchmark::State& state,
-                             TransientBatchKind kind) {
-  const ScopedTransientBatchDefault scope(kind);
+void defect_transients_bench(benchmark::State& state, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::transient, kernel);
   constexpr DefectId kDf = 8;  // MPreg1 gate line
   constexpr std::size_t kDefects = 32;
   std::vector<double> ohms(kDefects);
@@ -290,12 +234,12 @@ void defect_transients_bench(benchmark::State& state,
 }
 
 void BM_DefectTransientsSerial(benchmark::State& state) {
-  defect_transients_bench(state, TransientBatchKind::Serial);
+  defect_transients_bench(state, Kernel::Reference);
 }
 BENCHMARK(BM_DefectTransientsSerial);
 
 void BM_DefectTransientsLockstep(benchmark::State& state) {
-  defect_transients_bench(state, TransientBatchKind::Lockstep);
+  defect_transients_bench(state, Kernel::Production);
 }
 BENCHMARK(BM_DefectTransientsLockstep);
 

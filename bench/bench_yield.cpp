@@ -36,6 +36,7 @@
 
 #include "build_type_warning.hpp"
 #include "lpsram/stats/yield/engine.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 using namespace lpsram;
 
@@ -92,14 +93,14 @@ CandidateExactSection bench_candidate_exact(const Technology& tech,
   s.margin = opts.blockade_margin;
   YieldResult one, lane;
   {
-    ScopedYieldExactBatchDefault scoped(YieldExactBatchKind::OneAtATime);
+    ScopedKernelConfig scoped(&KernelConfig::yield_exact, Kernel::Reference);
     const YieldPlan plan(tech, surrogate, opts);
     const auto t0 = std::chrono::steady_clock::now();
     one = run_yield(plan);
     s.one_wall = wall_seconds(t0);
   }
   {
-    ScopedYieldExactBatchDefault scoped(YieldExactBatchKind::LaneBatch);
+    ScopedKernelConfig scoped(&KernelConfig::yield_exact, Kernel::Production);
     const YieldPlan plan(tech, surrogate, opts);
     const auto t0 = std::chrono::steady_clock::now();
     lane = run_yield(plan);

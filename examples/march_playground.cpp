@@ -7,6 +7,7 @@
 //   march_playground "{ any(w0); up(r0,w1); down(r1,w0) }"
 //   march_playground "{ any(w1); DSM; WUP; up(r1) }" 5e8
 //     (second argument: regulator defect Df7 resistance in ohms)
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -18,13 +19,28 @@
 
 using namespace lpsram;
 
-int main(int argc, char** argv) {
+namespace {
+
+int play(int argc, char** argv) {
   MarchTest test = march::march_m_lz();
   if (argc > 1) {
     try {
       test = parse_march(argv[1], "user test");
     } catch (const Error& e) {
       std::fprintf(stderr, "cannot parse march test: %s\n", e.what());
+      return 2;
+    }
+  }
+  double ohms = 0.0;
+  if (argc > 2) {
+    char* end = nullptr;
+    ohms = std::strtod(argv[2], &end);
+    if (end == argv[2] || *end != '\0' || !std::isfinite(ohms) ||
+        !(ohms > 0.0)) {
+      std::fprintf(stderr,
+                   "Df7 resistance must be a finite number of ohms > 0, "
+                   "got '%s'\n",
+                   argv[2]);
       return 2;
     }
   }
@@ -42,7 +58,6 @@ int main(int argc, char** argv) {
   LowPowerSram sram(config);
 
   if (argc > 2) {
-    const double ohms = std::atof(argv[2]);
     CellVariation worst;
     worst.mpcc1 = -6;
     worst.mncc1 = -6;
@@ -83,4 +98,17 @@ int main(int argc, char** argv) {
   std::printf("\nclassic fault coverage:\n%s",
               coverage_table(summarize(result)).c_str());
   return run.passed ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return play(argc, argv);
+  } catch (const Error& e) {
+    // Bad input is a usage error: report it instead of aborting on an
+    // uncaught exception.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

@@ -14,6 +14,7 @@
 
 #include "lpsram/regulator/characterize.hpp"
 #include "lpsram/runtime/campaign.hpp"
+#include "lpsram/util/error.hpp"
 #include "lpsram/util/signal_cancel.hpp"
 
 using namespace lpsram;
@@ -58,9 +59,7 @@ int run_durable(const Technology& tech, const char* journal) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Technology tech = Technology::lp40nm();
 
   if (argc == 3 && std::strcmp(argv[1], "--resume") == 0)
@@ -144,4 +143,17 @@ int main(int argc, char** argv) {
                 base.min_value(0), df8.min_value(0));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    // Bad input (say, a corrupt or foreign --resume journal) is a usage
+    // error: report it instead of aborting on an uncaught exception.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

@@ -13,6 +13,7 @@
 #include "lpsram/cell/vtc.hpp"
 #include "lpsram/core/retention_analyzer.hpp"
 #include "lpsram/testflow/report.hpp"
+#include "lpsram/util/error.hpp"
 #include "lpsram/util/signal_cancel.hpp"
 
 using namespace lpsram;
@@ -50,9 +51,7 @@ int run_durable(const Technology& tech, const char* journal) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Technology tech = Technology::lp40nm();
 
   if (argc == 3 && std::strcmp(argv[1], "--resume") == 0)
@@ -116,4 +115,17 @@ int main(int argc, char** argv) {
   std::printf("# -> the paper's 'at least 1 ms in DS mode' and 'test at high "
               "temperature' rules\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    // Bad input (say, a corrupt or foreign --resume journal) is a usage
+    // error: report it instead of aborting on an uncaught exception.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

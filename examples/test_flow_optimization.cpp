@@ -11,11 +11,14 @@
 
 #include "lpsram/core/test_flow_generator.hpp"
 #include "lpsram/testflow/report.hpp"
+#include "lpsram/util/error.hpp"
 #include "lpsram/util/signal_cancel.hpp"
 
 using namespace lpsram;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const Technology tech = Technology::lp40nm();
 
   std::unique_ptr<Campaign> campaign;
@@ -90,4 +93,17 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    // Bad input (say, a corrupt or foreign --resume journal) is a usage
+    // error: report it instead of aborting on an uncaught exception.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

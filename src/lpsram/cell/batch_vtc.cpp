@@ -1,35 +1,12 @@
 #include "lpsram/cell/batch_vtc.hpp"
 
-#include <atomic>
 #include <cmath>
 
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 #include "lpsram/util/simd.hpp"
 
 namespace lpsram {
-
-// ---------------------------------------------------------------------------
-// Kernel selection.
-
-namespace {
-
-std::atomic<CellKernelKind> g_default_cell_kernel{CellKernelKind::Batched};
-
-}  // namespace
-
-CellKernelKind default_cell_kernel() noexcept {
-  return g_default_cell_kernel.load(std::memory_order_relaxed);
-}
-
-CellKernelKind set_default_cell_kernel(CellKernelKind kind) noexcept {
-  if (kind == CellKernelKind::Auto) kind = CellKernelKind::Batched;
-  return g_default_cell_kernel.exchange(kind, std::memory_order_relaxed);
-}
-
-CellKernelKind resolved_cell_kernel() noexcept {
-  const CellKernelKind kind = default_cell_kernel();
-  return kind == CellKernelKind::Auto ? CellKernelKind::Batched : kind;
-}
 
 // ---------------------------------------------------------------------------
 // Engine.
@@ -105,7 +82,7 @@ void BatchHoldVtc::invert(const InverterPlan& plan, const double* v_in,
   // (simd::vexp/vlog1p — agrees with the oracle to the documented ulp
   // level). The rootfind_lanes padding contract guarantees lanes/x are
   // readable and f/df writable through round_up_lanes(m).
-  const bool use_simd = resolved_simd_kind() == SimdKind::Simd;
+  const bool use_simd = kernel_config().simd == Kernel::Production;
   const auto residual = [&](const std::size_t* lanes, const double* x,
                             double* f, double* df, std::size_t m) {
     if (use_simd) {
@@ -566,7 +543,7 @@ class CrossHoldVtc {
       inv_hi_[i] = vdd[i] + 0.05;
     }
 
-    const bool use_simd = resolved_simd_kind() == SimdKind::Simd;
+    const bool use_simd = kernel_config().simd == Kernel::Production;
     const auto residual = [&](const std::size_t* lanes, const double* x,
                               double* f, double* df, std::size_t m_act) {
       if (use_simd) {

@@ -19,8 +19,7 @@
 //    per round, shrinking the bracket by (k+1)x per batch instead of 2x.
 //
 // The scalar path stays untouched as the equivalence oracle, selected at
-// runtime via ScopedCellKernelDefault (mirroring the linear-solver kernel
-// switch in spice/dc_solver.hpp). DRV extraction keeps the *exact* scalar
+// runtime by KernelConfig::cell (util/kernel_config.hpp). DRV extraction keeps the *exact* scalar
 // vdd probe schedule, so the two kernels return the same DRV whenever every
 // retains decision agrees — which is everywhere except probes landing right
 // on the retention fold, where the predicate hinges on the sign of a
@@ -40,37 +39,6 @@
 #include "lpsram/util/rootfind_lanes.hpp"
 
 namespace lpsram {
-
-// ---------------------------------------------------------------------------
-// Runtime kernel selection (process-wide default + RAII scope), mirroring
-// LinearSolverKind / ScopedLinearSolverDefault from spice/dc_solver.hpp.
-
-enum class CellKernelKind { Auto, Scalar, Batched };
-
-// Process-wide default used by hold_snm/holds_state/hold_equilibrium/
-// drv_hold and HoldVtc::curve_s/curve_sb. Starts as Batched.
-CellKernelKind default_cell_kernel() noexcept;
-
-// Sets the default (Auto coerces to Batched); returns the previous value.
-CellKernelKind set_default_cell_kernel(CellKernelKind kind) noexcept;
-
-// The default with Auto resolved — what a cell analysis will actually run.
-CellKernelKind resolved_cell_kernel() noexcept;
-
-// Scoped override: pins the process default for a test/benchmark region and
-// restores the previous kernel on destruction.
-class ScopedCellKernelDefault {
- public:
-  explicit ScopedCellKernelDefault(CellKernelKind kind)
-      : previous_(set_default_cell_kernel(kind)) {}
-  ~ScopedCellKernelDefault() { set_default_cell_kernel(previous_); }
-
-  ScopedCellKernelDefault(const ScopedCellKernelDefault&) = delete;
-  ScopedCellKernelDefault& operator=(const ScopedCellKernelDefault&) = delete;
-
- private:
-  CellKernelKind previous_;
-};
 
 // ---------------------------------------------------------------------------
 // The engine: one instance per (cell, temperature, external bias), reusable
@@ -147,9 +115,9 @@ class BatchHoldVtc {
 
 // ---------------------------------------------------------------------------
 // Batched equivalents of the scalar hot-path entry points. The scalar
-// functions in snm.hpp/drv.hpp dispatch here when the resolved kernel is
-// Batched; call these directly only to pin a kernel irrespective of the
-// process default.
+// functions in snm.hpp/drv.hpp dispatch here when KernelConfig::cell is
+// Production; call these directly only to pin a kernel irrespective of the
+// process config.
 
 HoldState hold_equilibrium_batched(const CoreCell& cell, StoredBit bit,
                                    double vdd_cc, double temp_c,

@@ -2,6 +2,7 @@
 
 #include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/cell/snm.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 
 namespace lpsram {
@@ -11,7 +12,7 @@ double drv_hold(const CoreCell& cell, StoredBit bit, double temp_c,
   // Batched kernel: one lane engine shared across every vdd probe, same
   // probe schedule — thresholds match the scalar kernel except when a probe
   // lands in the fold's solver-noise band (see drv_hold_batched).
-  if (resolved_cell_kernel() == CellKernelKind::Batched)
+  if (kernel_config().cell == Kernel::Production)
     return drv_hold_batched(cell, bit, temp_c, options);
   const double threshold = monotone_threshold_log(
       [&](double vdd_cc) { return holds_state(cell, bit, vdd_cc, temp_c); },

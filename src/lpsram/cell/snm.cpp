@@ -4,6 +4,7 @@
 
 #include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/cell/vtc.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 
 namespace lpsram {
@@ -75,7 +76,7 @@ bool retains(const CoreCell& cell, StoredBit bit, double vdd_cc, double temp_c,
 
 HoldState hold_equilibrium(const CoreCell& cell, StoredBit bit, double vdd_cc,
                            double temp_c, double noise) {
-  if (resolved_cell_kernel() == CellKernelKind::Batched)
+  if (kernel_config().cell == Kernel::Production)
     return hold_equilibrium_batched(cell, bit, vdd_cc, temp_c, noise);
   const HoldVtc vtc(cell);
   const LoopMap map{vtc, bit, vdd_cc, temp_c, noise};
@@ -96,14 +97,14 @@ HoldState hold_equilibrium(const CoreCell& cell, StoredBit bit, double vdd_cc,
 
 bool holds_state(const CoreCell& cell, StoredBit bit, double vdd_cc,
                  double temp_c) {
-  if (resolved_cell_kernel() == CellKernelKind::Batched)
+  if (kernel_config().cell == Kernel::Production)
     return holds_state_batched(cell, bit, vdd_cc, temp_c);
   return retains(cell, bit, vdd_cc, temp_c, /*noise=*/0.0);
 }
 
 double hold_snm(const CoreCell& cell, StoredBit bit, double vdd_cc,
                 double temp_c) {
-  if (resolved_cell_kernel() == CellKernelKind::Batched)
+  if (kernel_config().cell == Kernel::Production)
     return hold_snm_batched(cell, bit, vdd_cc, temp_c);
   if (!retains(cell, bit, vdd_cc, temp_c, 0.0)) return 0.0;
   // SNM is the largest adverse noise the cell survives; bisect on d.

@@ -1,6 +1,7 @@
 #include "lpsram/cell/vtc.hpp"
 
 #include "lpsram/cell/batch_vtc.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 
 namespace lpsram {
@@ -27,7 +28,7 @@ std::vector<std::pair<double, double>> sample_curve(
     int points) {
   std::vector<std::pair<double, double>> curve;
   curve.reserve(static_cast<std::size_t>(points));
-  if (resolved_cell_kernel() == CellKernelKind::Batched) {
+  if (kernel_config().cell == Kernel::Production) {
     const std::size_t n = static_cast<std::size_t>(points);
     std::vector<double> in(n), out(n);
     for (int i = 0; i < points; ++i)

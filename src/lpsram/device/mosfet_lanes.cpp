@@ -1,5 +1,6 @@
 #include "lpsram/device/mosfet_lanes.hpp"
 
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/units.hpp"
 
 namespace lpsram {
@@ -24,7 +25,7 @@ void Mosfet::eval_lanes(const double* vg, const double* vd, const double* vs,
                         std::size_t n, double temp_c, double* id, double* gm,
                         double* gds, double* gms) const noexcept {
   const MosfetLaneConsts c = mosfet_lane_consts(*this, temp_c);
-  if (resolved_simd_kind() == SimdKind::Simd) {
+  if (kernel_config().simd == Kernel::Production) {
     using V = simd::Vec;
     constexpr std::size_t W = simd::kNativeWidth;
     std::size_t i = 0;

@@ -140,7 +140,7 @@ inline MosEval lane_eval_nmos_cached(const MosfetLaneConsts& c,
 // transcendental pair comes from simd::vexp / simd::vlog1p instead of libm,
 // so results agree with the scalar lanes only to the documented ulp level
 // (tests/test_cell_lanes.cpp pins the tolerance). Kernels consult
-// resolved_simd_kind() to choose between the scalar-oracle loop and these.
+// KernelConfig::simd to choose between the scalar-oracle loop and these.
 
 template <class V>
 struct MosEvalV {

@@ -10,11 +10,10 @@
 #include <mutex>
 #include <vector>
 
-#include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/cell/snm.hpp"
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/simd.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 
@@ -96,8 +95,9 @@ TableKey table_key(const CoreCell& cell, double temp_c) {
     for (const auto field : kParamFields) key[n++] = key_bits(p.*field);
   }
   key[n++] = key_bits(temp_c);
-  key[n++] = static_cast<std::uint64_t>(resolved_cell_kernel());
-  key[n++] = static_cast<std::uint64_t>(resolved_simd_kind());
+  const KernelConfig kernels = kernel_config();
+  key[n++] = static_cast<std::uint64_t>(kernels.cell);
+  key[n++] = static_cast<std::uint64_t>(kernels.simd);
   return key;
 }
 

@@ -9,6 +9,7 @@
 #include "lpsram/runtime/sweep.hpp"
 #include "lpsram/spice/batch_transient.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 #include "lpsram/util/units.hpp"
 
@@ -266,7 +267,7 @@ std::vector<double> RegulatorCharacterizer::retention_deficits(
     double drv) const {
   std::vector<double> out(ohms.size());
   if (id == 0 || !is_gate_site(id) ||
-      resolved_transient_batch_kind() == TransientBatchKind::Serial) {
+      kernel_config().transient == Kernel::Reference) {
     // Scalar oracle: the exact per-probe path, one at a time.
     for (std::size_t i = 0; i < ohms.size(); ++i)
       out[i] = retention_deficit(condition, id, ohms[i], drv);
@@ -291,7 +292,7 @@ double RegulatorCharacterizer::drf_threshold(const DsCondition& condition,
                                              double r_hi, double rel_tolerance,
                                              double drv) const {
   if (id == 0 || !is_gate_site(id) ||
-      resolved_transient_batch_kind() == TransientBatchKind::Serial) {
+      kernel_config().transient == Kernel::Reference) {
     return monotone_threshold_log(
         [&](double ohms) { return causes_drf(condition, id, ohms, drv); },
         r_lo, r_hi, rel_tolerance);

@@ -97,18 +97,18 @@ class RegulatorCharacterizer {
                            double ohms, double drv) const;
 
   // Retention deficits for several resistance values of one defect, in
-  // `ohms` order. For gate-site defects under TransientBatchKind::Lockstep
-  // the DS-entry transients run as one lane batch
-  // (VoltageRegulator::simulate_ds_entry_lanes); otherwise this loops the
-  // scalar retention_deficit — the runtime-selectable oracle.
+  // `ohms` order. For gate-site defects under the production transient
+  // kernel (KernelConfig::transient) the DS-entry transients run as one
+  // lane batch (VoltageRegulator::simulate_ds_entry_lanes); otherwise this
+  // loops the scalar retention_deficit — the runtime-selectable oracle.
   std::vector<double> retention_deficits(const DsCondition& condition,
                                          DefectId id,
                                          std::span<const double> ohms,
                                          double drv) const;
 
   // Minimum defect resistance causing a DRF: the monotone_threshold_log
-  // bisection over causes_drf. Gate-site defects under
-  // TransientBatchKind::Lockstep evaluate each bisection round as a
+  // bisection over causes_drf. Gate-site defects under the production
+  // transient kernel evaluate each bisection round as a
   // speculative probe tree — the 7 midpoints the scalar schedule could
   // visit over its next three rounds, computed by the same nested-sqrt
   // recipe and batched into one lockstep run — so the probe points (and the

@@ -130,10 +130,10 @@ class VoltageRegulator {
   // (spice/batch_transient.hpp) — the ACT operating points are solved
   // serially per lane, the DS transients share assembly and factorization.
   // Waveforms are returned in `ohms` order with the same probes as
-  // simulate_ds_entry. Under TransientBatchKind::Serial (or for a single
-  // lane under SimdKind::Scalar) each waveform is the serial path's,
-  // bit-for-bit. Leaves the regulator in DS mode with the *last* lane's
-  // resistance injected and no warm start.
+  // simulate_ds_entry. Under the serial transient reference (or for a
+  // single lane under the scalar SIMD reference) each waveform is the
+  // serial path's, bit-for-bit. Leaves the regulator in DS mode with the
+  // *last* lane's resistance injected and no warm start.
   std::vector<Waveform> simulate_ds_entry_lanes(
       DefectId id, std::span<const double> ohms, double duration,
       double temp_c, const TransientOptions* options = nullptr);

@@ -140,7 +140,14 @@ std::string load_token_file(const std::string& path) {
   std::string token;
   char buf[4096];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) token.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    token.append(buf, n);
+    if (token.size() > kMaxTokenFileBytes) {
+      std::fclose(f);
+      throw InvalidArgument("fabric: token file " + path + " exceeds " +
+                            std::to_string(kMaxTokenFileBytes) + " bytes");
+    }
+  }
   std::fclose(f);
   while (!token.empty() &&
          (token.back() == '\n' || token.back() == '\r' ||

@@ -38,10 +38,15 @@ Sha256Digest hmac_sha256(const std::uint8_t* key, std::size_t key_size,
 bool constant_time_equal(const std::uint8_t* a, const std::uint8_t* b,
                          std::size_t size) noexcept;
 
+// Largest token file load_token_file reads. A token is a short shared
+// secret; the cap keeps a --token-file pointed at /dev/zero or a large file
+// from growing memory until the process dies.
+inline constexpr std::size_t kMaxTokenFileBytes = 64 * 1024;
+
 // Reads the shared campaign token from `path`, trimming trailing whitespace
 // (editors append newlines). Throws InvalidArgument when the file is
-// missing, unreadable, or trims to empty — an empty token would turn the
-// handshake into a formality.
+// missing, unreadable, larger than kMaxTokenFileBytes, or trims to empty —
+// an empty token would turn the handshake into a formality.
 std::string load_token_file(const std::string& path);
 
 // Fills `out` with cryptographically random bytes (/dev/urandom, falling

@@ -2,12 +2,10 @@
 
 #include <chrono>
 
-#include "lpsram/cell/batch_vtc.hpp"
-#include "lpsram/spice/batch_transient.hpp"
 #include "lpsram/spice/dc_solver.hpp"
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/simd.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -67,12 +65,10 @@ SweepRun collect(const SweepPlan& plan, std::vector<Payload>& payloads,
 }  // namespace
 
 std::uint64_t fold_kernel_kinds(std::uint64_t fingerprint) noexcept {
-  fingerprint =
-      fold_key(fingerprint, static_cast<std::uint64_t>(resolved_cell_kernel()));
-  fingerprint =
-      fold_key(fingerprint, static_cast<std::uint64_t>(resolved_simd_kind()));
-  return fold_key(fingerprint,
-                  static_cast<std::uint64_t>(resolved_transient_batch_kind()));
+  const KernelConfig kernels = kernel_config();
+  fingerprint = fold_key(fingerprint, static_cast<std::uint64_t>(kernels.cell));
+  fingerprint = fold_key(fingerprint, static_cast<std::uint64_t>(kernels.simd));
+  return fold_key(fingerprint, static_cast<std::uint64_t>(kernels.transient));
 }
 
 void SweepTask::count_solves(std::function<SolveTelemetry()> source) {

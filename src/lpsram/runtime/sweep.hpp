@@ -25,10 +25,11 @@
 
 namespace lpsram {
 
-// Folds the resolved kernel kinds (cell-analysis kernel, SIMD backend,
-// transient batching) into a fingerprint. Each moves results within solver
-// noise, so a journal recorded under one kind must be refused under another
-// rather than silently blend near-identical tables.
+// Folds the cell-analysis, SIMD and transient-batching fields of the
+// kernel config (util/kernel_config.hpp), in that order, into a
+// fingerprint. Each moves results within solver noise, so a journal
+// recorded under one kernel must be refused under another rather than
+// silently blend near-identical tables. The linear solver stays unfolded.
 std::uint64_t fold_kernel_kinds(std::uint64_t fingerprint) noexcept;
 
 // A task in flight, as the plan's task body sees it.

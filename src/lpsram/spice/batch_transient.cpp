@@ -1,39 +1,16 @@
 #include "lpsram/spice/batch_transient.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
 #include "lpsram/device/mosfet_lanes.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/simd.hpp"
 #include "lpsram/util/sparse_lanes.hpp"
 
 namespace lpsram {
-namespace {
-
-std::atomic<TransientBatchKind> g_default_transient_batch_kind{
-    TransientBatchKind::Lockstep};
-
-}  // namespace
-
-TransientBatchKind default_transient_batch_kind() noexcept {
-  return g_default_transient_batch_kind.load(std::memory_order_relaxed);
-}
-
-TransientBatchKind set_default_transient_batch_kind(
-    TransientBatchKind kind) noexcept {
-  if (kind == TransientBatchKind::Auto) kind = TransientBatchKind::Lockstep;
-  return g_default_transient_batch_kind.exchange(kind,
-                                                 std::memory_order_relaxed);
-}
-
-TransientBatchKind resolved_transient_batch_kind() noexcept {
-  const TransientBatchKind kind = default_transient_batch_kind();
-  return kind == TransientBatchKind::Auto ? TransientBatchKind::Lockstep
-                                          : kind;
-}
 
 BatchTransientSolver::BatchTransientSolver(Netlist& netlist, double temp_c,
                                            TransientOptions options)
@@ -51,7 +28,7 @@ std::vector<Waveform> BatchTransientSolver::run(
     if (lane.initial_x.size() != assembler_.dimension())
       throw InvalidArgument("BatchTransientSolver: initial state size mismatch");
 
-  return resolved_transient_batch_kind() == TransientBatchKind::Serial
+  return kernel_config().transient == Kernel::Reference
              ? run_serial(lanes, probes, stimulus)
              : run_lockstep(lanes, probes, stimulus);
 }
@@ -135,7 +112,7 @@ std::vector<Waveform> BatchTransientSolver::run_lockstep(
   const std::size_t n_nodes = p.n_nodes;
   const std::size_t nnz = p.cols.size();
   const std::vector<Element>& elements = netlist_.elements();
-  const bool use_simd_mos = resolved_simd_kind() == SimdKind::Simd;
+  const bool use_simd_mos = kernel_config().simd == Kernel::Production;
 
   // Per-device constants, hoisted once (lane-invariant; see header contract).
   std::vector<MosfetLaneConsts> mos_consts;

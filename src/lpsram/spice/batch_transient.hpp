@@ -13,56 +13,27 @@
 // Numerics contract: because every lane replays the serial TransientSolver
 // recipe — same stimulus schedule, same per-attempt base freeze, same
 // Newton update, residual test, conditional refinement and step control —
-// a lane's waveform under SimdKind::Scalar is bit-identical to running
-// TransientSolver on that lane alone, with one caveat: the LU pivot order
-// is analyzed once from the first lane's first Jacobian and shared, where
-// standalone solves analyze their own values (identical values, identical
-// order). Under SimdKind::Simd the MOSFET restamps use the vectorized
-// model (device/mosfet_lanes.hpp), which agrees with the scalar model to
-// the documented ulp level. Lanes that leave the shared pivot order's
+// a lane's waveform under the scalar SIMD reference is bit-identical to
+// running TransientSolver on that lane alone, with one caveat: the LU pivot
+// order is analyzed once from the first lane's first Jacobian and shared,
+// where standalone solves analyze their own values (identical values,
+// identical order). Under the production SIMD kernel the MOSFET restamps
+// use the vectorized model (device/mosfet_lanes.hpp), which agrees with the
+// scalar model to the documented ulp level. Lanes that leave the shared pivot order's
 // stability region, or whose step size underflows, are *evicted*: they are
 // re-run from scratch through the serial TransientSolver, so their results
 // (including any ConvergenceError) are exactly the serial ones.
 //
-// Kind selection follows the ScopedCellKernelDefault pattern
-// (cell/batch_vtc.hpp): a process-wide default, resolvable to a concrete
-// kind, with an RAII override for tests and benchmarks.
+// KernelConfig::transient (util/kernel_config.hpp) selects the lockstep
+// engine (Production) or the serial per-lane oracle (Reference).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "lpsram/spice/elements.hpp"
 #include "lpsram/spice/transient.hpp"
 
 namespace lpsram {
-
-enum class TransientBatchKind : std::uint8_t {
-  Auto = 0,     // resolve to the library default
-  Serial = 1,   // one TransientSolver per lane — the equivalence oracle
-  Lockstep = 2  // lane-batched engine
-};
-
-// Process-wide default; Auto resolves to Lockstep.
-TransientBatchKind default_transient_batch_kind() noexcept;
-TransientBatchKind set_default_transient_batch_kind(
-    TransientBatchKind kind) noexcept;
-TransientBatchKind resolved_transient_batch_kind() noexcept;
-
-class ScopedTransientBatchDefault {
- public:
-  explicit ScopedTransientBatchDefault(TransientBatchKind kind) noexcept
-      : previous_(set_default_transient_batch_kind(kind)) {}
-  ~ScopedTransientBatchDefault() {
-    set_default_transient_batch_kind(previous_);
-  }
-  ScopedTransientBatchDefault(const ScopedTransientBatchDefault&) = delete;
-  ScopedTransientBatchDefault& operator=(const ScopedTransientBatchDefault&) =
-      delete;
-
- private:
-  TransientBatchKind previous_;
-};
 
 // One lane of a batched run: the defect override applied to the shared
 // netlist plus the lane's initial state.
@@ -91,8 +62,8 @@ class BatchTransientSolver {
                        TransientOptions options = {});
 
   // Runs every lane from t = 0 to t_stop and returns one waveform per lane,
-  // in lane order. Dispatches on resolved_transient_batch_kind(): Serial
-  // runs each lane through a plain TransientSolver, Lockstep batches them.
+  // in lane order. Dispatches on KernelConfig::transient: the reference
+  // runs each lane through a plain TransientSolver, production batches them.
   // Throws ConvergenceError exactly where the serial path would (a lane
   // whose step size underflows).
   std::vector<Waveform> run(const std::vector<TransientLane>& lanes,

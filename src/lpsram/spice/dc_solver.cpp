@@ -1,27 +1,14 @@
 #include "lpsram/spice/dc_solver.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
-
-namespace {
-std::atomic<LinearSolverKind> g_default_linear_solver{LinearSolverKind::Sparse};
-}  // namespace
-
-LinearSolverKind default_linear_solver() noexcept {
-  return g_default_linear_solver.load(std::memory_order_relaxed);
-}
-
-LinearSolverKind set_default_linear_solver(LinearSolverKind kind) noexcept {
-  if (kind == LinearSolverKind::Auto) kind = LinearSolverKind::Sparse;
-  return g_default_linear_solver.exchange(kind, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -97,13 +84,6 @@ StepOutcome apply_damped_step(const DcOptions& options, std::size_t n_nodes,
              : StepOutcome::Continue;
 }
 
-// Max |residual| over every row (KCL rows in amps, branch rows in volts).
-double max_abs(const std::vector<double>& v) {
-  double m = 0.0;
-  for (const double e : v) m = std::max(m, std::fabs(e));
-  return m;
-}
-
 // Cooperative cancellation poll, shared by the DC and transient Newton
 // kernels. Cancellation surfaces through the same SolveTimeout channel as
 // deadline expiry so every quarantine/retry path already handles it; the
@@ -130,15 +110,9 @@ void poll_cancel(const CancelToken* cancel, const char* where, int iterations,
 DcSolver::DcSolver(const Netlist& netlist, double temp_c, DcOptions options)
     : netlist_(netlist), assembler_(netlist, temp_c), options_(std::move(options)) {}
 
-LinearSolverKind DcSolver::resolved_solver() const noexcept {
-  return options_.linear_solver == LinearSolverKind::Auto
-             ? default_linear_solver()
-             : options_.linear_solver;
-}
-
 bool DcSolver::newton(std::vector<double>& x, double gmin,
                       NewtonStats* stats) const {
-  return resolved_solver() == LinearSolverKind::Dense
+  return kernel_config().linear_solver == Kernel::Reference
              ? newton_dense(x, gmin, stats)
              : newton_sparse(x, gmin, stats);
 }

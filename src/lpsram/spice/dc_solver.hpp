@@ -22,35 +22,6 @@ struct NewtonProgress {
   double max_residual = 0.0;  // largest |KCL residual| at entry [A]
 };
 
-// Which linear-solve kernel Newton runs on. `Sparse` is the structure-aware
-// CSR path (symbolic stamp plan + reusable sparse LU, zero allocations per
-// iteration); `Dense` is the original dense-LU path, kept as the fallback
-// and as the cross-check oracle in tests. `Auto` defers to the process-wide
-// default (see default_linear_solver), which starts as Sparse.
-enum class LinearSolverKind { Auto, Sparse, Dense };
-
-// Process-wide default used when DcOptions::linear_solver is Auto. Atomic:
-// safe to flip while sweeps run (each Newton attempt reads it once).
-LinearSolverKind default_linear_solver() noexcept;
-// Sets the process default; Auto is normalized to Sparse. Returns previous.
-LinearSolverKind set_default_linear_solver(LinearSolverKind kind) noexcept;
-
-// RAII override of the process default — how tests and benches flip the
-// whole stack (regulator, DRV, march flows) onto one kernel without
-// threading an option through every call site.
-class ScopedLinearSolverDefault {
- public:
-  explicit ScopedLinearSolverDefault(LinearSolverKind kind)
-      : previous_(set_default_linear_solver(kind)) {}
-  ~ScopedLinearSolverDefault() { set_default_linear_solver(previous_); }
-
-  ScopedLinearSolverDefault(const ScopedLinearSolverDefault&) = delete;
-  ScopedLinearSolverDefault& operator=(const ScopedLinearSolverDefault&) = delete;
-
- private:
-  LinearSolverKind previous_;
-};
-
 struct DcOptions {
   int max_iterations = 150;
   double v_tolerance = 1e-9;       // convergence: max |delta V| [V]
@@ -67,8 +38,6 @@ struct DcOptions {
   // Invoked once per Newton iteration; may throw to abort the solve (the
   // exception propagates out of solve()).
   std::function<void(const NewtonProgress&)> progress;
-  // Linear-solve kernel; Auto follows the process-wide default (Sparse).
-  LinearSolverKind linear_solver = LinearSolverKind::Auto;
   // Cooperative cancellation: when set, every Newton iteration (DC and
   // transient) polls the token and aborts the solve with SolveTimeout
   // (SolveFailureInfo::cancelled = true) as soon as it trips. Non-owning;
@@ -155,13 +124,13 @@ class DcSolver {
   };
 
   // One Newton solve at fixed gmin and source scale; returns converged flag.
-  // Dispatches to the sparse or dense kernel per options/process default.
+  // Runs the sparse kernel, or the dense reference when
+  // KernelConfig::linear_solver selects it.
   bool newton(std::vector<double>& x, double gmin, NewtonStats* stats) const;
   bool newton_sparse(std::vector<double>& x, double gmin,
                      NewtonStats* stats) const;
   bool newton_dense(std::vector<double>& x, double gmin,
                     NewtonStats* stats) const;
-  LinearSolverKind resolved_solver() const noexcept;
 
   const Netlist& netlist_;
   SystemAssembler assembler_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 
@@ -48,12 +49,9 @@ TransientSolver::TransientSolver(Netlist& netlist, double temp_c,
       assembler_(netlist, temp_c) {}
 
 bool TransientSolver::step(double dt, std::vector<double>& x_next) {
-  const LinearSolverKind kind =
-      options_.dc.linear_solver == LinearSolverKind::Auto
-          ? default_linear_solver()
-          : options_.dc.linear_solver;
-  return kind == LinearSolverKind::Dense ? step_dense(dt, x_next)
-                                         : step_sparse(dt, x_next);
+  return kernel_config().linear_solver == Kernel::Reference
+             ? step_dense(dt, x_next)
+             : step_sparse(dt, x_next);
 }
 
 bool TransientSolver::step_sparse(double dt, std::vector<double>& x_next) {

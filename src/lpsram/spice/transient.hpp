@@ -58,7 +58,8 @@ class TransientSolver {
 
  private:
   // One backward-Euler step of size dt from state x_; returns success.
-  // Dispatches to the sparse or dense Newton kernel per options_.dc.
+  // Dispatches to the sparse or dense Newton kernel per
+  // KernelConfig::linear_solver.
   bool step(double dt, std::vector<double>& x_next);
   bool step_sparse(double dt, std::vector<double>& x_next);
   bool step_dense(double dt, std::vector<double>& x_next);

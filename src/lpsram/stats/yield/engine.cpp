@@ -1,7 +1,6 @@
 #include "lpsram/stats/yield/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -12,6 +11,7 @@
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/stats/yield/counter_rng.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -30,8 +30,9 @@ constexpr std::uint64_t kPilotStreamTag = 0x5053ULL;
 // amortizes, small enough that the staging working set stays cache-resident.
 constexpr std::size_t kExactBatchLanes = 32;
 
-std::atomic<YieldExactBatchKind> g_default_yield_exact_batch{
-    YieldExactBatchKind::LaneBatch};
+const char* exact_batch_name(Kernel kernel) {
+  return kernel == Kernel::Production ? "lane-batch" : "one-at-a-time";
+}
 
 }  // namespace
 
@@ -42,31 +43,6 @@ std::string yield_mode_name(YieldMode mode) {
     case YieldMode::ImportanceSampled: return "importance-sampled";
   }
   return "unknown";
-}
-
-std::string yield_exact_batch_name(YieldExactBatchKind kind) {
-  switch (kind) {
-    case YieldExactBatchKind::Auto: return "auto";
-    case YieldExactBatchKind::OneAtATime: return "one-at-a-time";
-    case YieldExactBatchKind::LaneBatch: return "lane-batch";
-  }
-  return "unknown";
-}
-
-YieldExactBatchKind default_yield_exact_batch() noexcept {
-  return g_default_yield_exact_batch.load(std::memory_order_relaxed);
-}
-
-YieldExactBatchKind set_default_yield_exact_batch(
-    YieldExactBatchKind kind) noexcept {
-  if (kind == YieldExactBatchKind::Auto) kind = YieldExactBatchKind::LaneBatch;
-  return g_default_yield_exact_batch.exchange(kind, std::memory_order_relaxed);
-}
-
-YieldExactBatchKind resolved_yield_exact_batch() noexcept {
-  const YieldExactBatchKind kind = default_yield_exact_batch();
-  return kind == YieldExactBatchKind::Auto ? YieldExactBatchKind::LaneBatch
-                                           : kind;
 }
 
 YieldPlan::YieldPlan(const Technology& tech, const DrvSurrogate& surrogate,
@@ -306,7 +282,7 @@ std::uint64_t YieldPlan::configuration_fingerprint() const {
   // fingerprint is the *claim* of that neutrality a resumed journal can
   // check: refusing a mixed resume is how the bit-identity contract stays
   // falsifiable instead of assumed.
-  fp = fold_key(fp, static_cast<std::uint64_t>(resolved_yield_exact_batch()));
+  fp = fold_key(fp, static_cast<std::uint64_t>(kernel_config().yield_exact));
   return fp;
 }
 
@@ -443,9 +419,9 @@ BlockAccum YieldPlan::sample_block(std::size_t index,
   // staged candidates in the same order and the cross-batched kernel is
   // lane-for-lane identical to the solo path (see cell/batch_vtc.hpp), so
   // the drvs[] array they produce is the same.
-  const bool lane_batch =
-      resolved_yield_exact_batch() == YieldExactBatchKind::LaneBatch &&
-      resolved_cell_kernel() == CellKernelKind::Batched;
+  const KernelConfig kernels = kernel_config();
+  const bool lane_batch = kernels.yield_exact == Kernel::Production &&
+                          kernels.cell == Kernel::Production;
   if (lane_batch) {
     CrossDrvOptions cross;
     std::vector<CoreCell> chunk_cells;
@@ -620,7 +596,7 @@ std::string yield_summary_line(const YieldPlan& plan,
       "mode=%s exact-batch=%s samples=%llu candidates=%llu exact_solves=%llu "
       "ess=%.1f min_tail_ess=%.1f",
       yield_mode_name(opt.mode).c_str(),
-      yield_exact_batch_name(resolved_yield_exact_batch()).c_str(),
+      exact_batch_name(kernel_config().yield_exact),
       static_cast<unsigned long long>(result.samples),
       static_cast<unsigned long long>(result.candidates),
       static_cast<unsigned long long>(result.exact_solves), ess, min_tail);

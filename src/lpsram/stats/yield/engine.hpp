@@ -31,7 +31,7 @@
 // The plan exposes exactly the (count, key_of, fingerprint, pure task)
 // quadruple that SweepRunner and fabric::run_fabric consume; the manifest
 // fingerprint folds the full configuration, the trained surrogate and the
-// resolved kernel kinds, so a resumed or fleet-sharded run refuses to mix
+// kernel config, so a resumed or fleet-sharded run refuses to mix
 // configurations instead of silently blending estimates.
 #pragma once
 
@@ -57,46 +57,16 @@ enum class YieldMode : std::uint8_t {
 
 std::string yield_mode_name(YieldMode mode);
 
-// ---------------------------------------------------------------------------
-// Candidate exact-solve batching (runtime-selectable, per the repo's standing
-// oracle pattern): LaneBatch marches surrogate-gated candidates through
-// drv_hold_cross_batched in lane-width blocks of *different cells*;
-// OneAtATime is the original per-candidate loop, kept as the equivalence
-// oracle. The resolved kind is folded into the plan fingerprint so a resumed
-// journal or a fabric fleet refuses to mix batch kinds. LaneBatch requires
-// the Batched cell kernel — under a Scalar cell-kernel default the engine
-// falls back to OneAtATime (the cross engine is built on the batched node
-// solver; there is no scalar cross path to be identical to).
-
-enum class YieldExactBatchKind : std::uint8_t {
-  Auto = 0,
-  OneAtATime = 1,
-  LaneBatch = 2,
-};
-
-std::string yield_exact_batch_name(YieldExactBatchKind kind);
-
-// Process-wide default; starts as LaneBatch (Auto coerces).
-YieldExactBatchKind default_yield_exact_batch() noexcept;
-YieldExactBatchKind set_default_yield_exact_batch(
-    YieldExactBatchKind kind) noexcept;
-// The default with Auto resolved — what run_block will actually do (before
-// the cell-kernel fallback above, which is applied per block).
-YieldExactBatchKind resolved_yield_exact_batch() noexcept;
-
-class ScopedYieldExactBatchDefault {
- public:
-  explicit ScopedYieldExactBatchDefault(YieldExactBatchKind kind)
-      : previous_(set_default_yield_exact_batch(kind)) {}
-  ~ScopedYieldExactBatchDefault() { set_default_yield_exact_batch(previous_); }
-
-  ScopedYieldExactBatchDefault(const ScopedYieldExactBatchDefault&) = delete;
-  ScopedYieldExactBatchDefault& operator=(const ScopedYieldExactBatchDefault&) =
-      delete;
-
- private:
-  YieldExactBatchKind previous_;
-};
+// Candidate exact-solve batching (KernelConfig::yield_exact, per the repo's
+// standing oracle pattern): Production marches surrogate-gated candidates
+// through drv_hold_cross_batched in lane-width blocks of *different cells*;
+// Reference is the original per-candidate loop, kept as the equivalence
+// oracle. The choice is folded into the plan fingerprint so a resumed
+// journal or a fabric fleet refuses to mix batch kinds. The lane batch
+// requires the batched cell kernel — under the scalar cell reference the
+// engine falls back to the per-candidate loop (the cross engine is built on
+// the batched node solver; there is no scalar cross path to be identical
+// to).
 
 struct YieldEngineOptions {
   // Array geometry: rows x cols cells per sampled array instance.
@@ -190,8 +160,8 @@ class YieldPlan {
 
   std::size_t task_count() const noexcept { return task_count_; }
   std::uint64_t key_of(std::size_t index) const noexcept;
-  // Folds options, vreg grid, surrogate, the exact-batch kind and the
-  // resolved kernel kinds (fold_kernel_kinds): the manifest run_yield binds
+  // Folds options, vreg grid, surrogate, the exact-batch kernel and the
+  // other folded kernels (fold_kernel_kinds): the manifest run_yield binds
   // and the one a fabric fleet must bind.
   std::uint64_t fingerprint() const;
 

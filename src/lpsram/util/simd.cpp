@@ -1,28 +1,6 @@
 #include "lpsram/util/simd.hpp"
 
-#include <atomic>
-
 namespace lpsram {
-
-namespace {
-
-std::atomic<SimdKind> g_default_simd_kind{SimdKind::Simd};
-
-}  // namespace
-
-SimdKind default_simd_kind() noexcept {
-  return g_default_simd_kind.load(std::memory_order_relaxed);
-}
-
-SimdKind set_default_simd_kind(SimdKind kind) noexcept {
-  if (kind == SimdKind::Auto) kind = SimdKind::Simd;
-  return g_default_simd_kind.exchange(kind, std::memory_order_relaxed);
-}
-
-SimdKind resolved_simd_kind() noexcept {
-  const SimdKind kind = default_simd_kind();
-  return kind == SimdKind::Auto ? SimdKind::Simd : kind;
-}
 
 std::size_t simd_width() noexcept { return simd::kNativeWidth; }
 

@@ -27,10 +27,9 @@
 //    lane order only in documentation, not behavior: hsum sums lanes left
 //    to right).
 //
-// The runtime SimdKind switch (Auto/Scalar/Simd, ScopedSimdDefault) follows
-// the CellKernelKind pattern from cell/batch_vtc.hpp: kernels that have both
-// a scalar-oracle loop and a vectorized path consult resolved_simd_kind()
-// so tests and benches can pin either path process-wide.
+// Kernels that have both a scalar-oracle loop and a vectorized path consult
+// KernelConfig::simd (util/kernel_config.hpp), so tests and benches can pin
+// either path process-wide.
 #pragma once
 
 #include <cmath>
@@ -52,35 +51,6 @@
 #endif
 
 namespace lpsram {
-
-// -----------------------------------------------------------------------
-// Runtime kernel selection (process-wide default + RAII scope), mirroring
-// CellKernelKind / ScopedCellKernelDefault. Simd means "use the vectorized
-// expression tree" — on a scalar-backend build that still exercises
-// vexp/vlog1p, just one lane at a time semantically.
-
-enum class SimdKind : std::uint8_t {
-  Auto = 0,    // resolve to the library default (Simd)
-  Scalar = 1,  // force the per-lane scalar oracle (libm exp/log1p)
-  Simd = 2,    // force the vectorized kernels
-};
-
-SimdKind default_simd_kind() noexcept;
-SimdKind set_default_simd_kind(SimdKind kind) noexcept;
-// The kind kernels actually dispatch on: Auto resolved to Simd.
-SimdKind resolved_simd_kind() noexcept;
-
-class ScopedSimdDefault {
- public:
-  explicit ScopedSimdDefault(SimdKind kind) noexcept
-      : prev_(set_default_simd_kind(kind)) {}
-  ~ScopedSimdDefault() { set_default_simd_kind(prev_); }
-  ScopedSimdDefault(const ScopedSimdDefault&) = delete;
-  ScopedSimdDefault& operator=(const ScopedSimdDefault&) = delete;
-
- private:
-  SimdKind prev_;
-};
 
 // Native vector width / backend name for report contexts and manifests.
 std::size_t simd_width() noexcept;

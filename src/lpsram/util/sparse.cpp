@@ -8,7 +8,6 @@
 #include <string>
 
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/simd.hpp"
 
 namespace lpsram {
 namespace {
@@ -36,14 +35,6 @@ SparseMatrix::SparseMatrix(std::size_t dim, std::vector<int> row_ptr,
   values_.assign(cols_.size(), 0.0);
 }
 
-int SparseMatrix::find_slot(int r, int c) const noexcept {
-  const auto begin = cols_.begin() + row_ptr_[static_cast<std::size_t>(r)];
-  const auto end = cols_.begin() + row_ptr_[static_cast<std::size_t>(r) + 1];
-  const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) return -1;
-  return static_cast<int>(it - cols_.begin());
-}
-
 void SparseMatrix::set_zero() noexcept {
   std::fill(values_.begin(), values_.end(), 0.0);
 }
@@ -54,61 +45,10 @@ void SparseMatrix::zero_row(std::size_t r) noexcept {
     values_[static_cast<std::size_t>(s)] = 0.0;
 }
 
-void SparseMatrix::multiply_add(const std::vector<double>& x,
-                                const std::vector<double>& c,
-                                std::vector<double>& y) const noexcept {
-  for (std::size_t r = 0; r < dim_; ++r) {
-    double acc = c.empty() ? 0.0 : c[r];
-    for (int s = row_ptr_[r]; s < row_ptr_[r + 1]; ++s)
-      acc += values_[static_cast<std::size_t>(s)] *
-             x[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])];
-    y[r] = acc;
-  }
-}
-
-namespace {
-
-// Rows at least this long take the vectorized gather path in
-// load_multiply_add. Typical MNA rows hold 3–6 slots and stay scalar; the
-// threshold targets the dense branch/fill rows where gathers amortize.
-constexpr int kGatherRowThreshold = 8;
-
-}  // namespace
-
 void SparseMatrix::load_multiply_add(const std::vector<double>& src,
                                      const std::vector<double>& x,
                                      const std::vector<double>& c,
                                      std::vector<double>& y) noexcept {
-  if (resolved_simd_kind() == SimdKind::Simd) {
-    // SIMD row dots accumulate lane-wise and fold with hsum, which reorders
-    // the summation relative to the scalar loop — a documented tolerance of
-    // the Simd kind, runtime-selectable back to the scalar oracle.
-    using V = simd::Vec;
-    constexpr int W = static_cast<int>(simd::kNativeWidth);
-    for (std::size_t r = 0; r < dim_; ++r) {
-      double acc = c.empty() ? 0.0 : c[r];
-      int s = row_ptr_[r];
-      const int end = row_ptr_[r + 1];
-      if (end - s >= kGatherRowThreshold) {
-        V accv = V::zero();
-        for (; s + W <= end; s += W) {
-          const V v = V::load(&src[static_cast<std::size_t>(s)]);
-          v.store(&values_[static_cast<std::size_t>(s)]);
-          accv = accv + v * V::gather(x.data(),
-                                      &cols_[static_cast<std::size_t>(s)]);
-        }
-        acc += V::hsum(accv);
-      }
-      for (; s < end; ++s) {
-        const double v = src[static_cast<std::size_t>(s)];
-        values_[static_cast<std::size_t>(s)] = v;
-        acc +=
-            v * x[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])];
-      }
-      y[r] = acc;
-    }
-    return;
-  }
   for (std::size_t r = 0; r < dim_; ++r) {
     double acc = c.empty() ? 0.0 : c[r];
     for (int s = row_ptr_[r]; s < row_ptr_[r + 1]; ++s) {
@@ -150,7 +90,6 @@ void SparseLu::factor(const SparseMatrix& a) {
 void SparseLu::analyze(const SparseMatrix& a) {
   const std::size_t n = a.dimension();
   n_ = 0;  // invalidated until the analysis completes (it may throw)
-  ++analyses_;
   a_row_ptr_ = a.row_ptr();
   a_cols_ = a.cols();
 
@@ -175,9 +114,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
   cperm_.resize(n);
   std::iota(cperm_.begin(), cperm_.end(), std::size_t{0});
-
-  double max_pivot = 0.0;
-  double min_pivot = std::numeric_limits<double>::infinity();
 
   std::vector<std::size_t> row_count(n, 0);
   std::vector<std::size_t> col_count(n, 0);
@@ -239,10 +175,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
       }
       std::swap(cperm_[k], cperm_[pivot_col]);
     }
-    const double pivot_mag = std::fabs(d[k * n + k]);
-    max_pivot = std::max(max_pivot, pivot_mag);
-    min_pivot = std::min(min_pivot, pivot_mag);
-
     const double inv_pivot = 1.0 / d[k * n + k];
     for (std::size_t i = k + 1; i < n; ++i) {
       // Elimination follows the *structural* mask, not the numeric value:
@@ -259,8 +191,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
       }
     }
   }
-  pivot_ratio_ = (max_pivot > 0.0) ? min_pivot / max_pivot : 0.0;
-
   // Record the combined L+U pattern row-major with ascending columns.
   lu_row_ptr_.assign(n + 1, 0);
   lu_cols_.clear();
@@ -363,55 +293,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
     }
   }
 
-  // Collapse each elimination step's mul ops into contiguous (dst, src, len)
-  // runs for the SIMD MAC. Rows whose trailing patterns match the pivot
-  // row's (the common case after fill-in) become one long run; runs never
-  // cross a step boundary because the factor changes.
-  mul_run_dst_.clear();
-  mul_run_src_.clear();
-  mul_run_len_.clear();
-  elim_run_end_.clear();
-  {
-    int m = 0;
-    for (std::size_t e = 0; e < elim_ls_.size(); ++e) {
-      const std::size_t step_first_run = mul_run_dst_.size();
-      for (const int m_end = elim_mul_end_[e]; m < m_end; ++m) {
-        const bool extends =
-            mul_run_dst_.size() > step_first_run &&
-            mul_run_dst_.back() + mul_run_len_.back() == mul_dst_[m] &&
-            mul_run_src_.back() + mul_run_len_.back() == mul_src_[m];
-        if (extends) {
-          ++mul_run_len_.back();
-        } else {
-          mul_run_dst_.push_back(mul_dst_[m]);
-          mul_run_src_.push_back(mul_src_[m]);
-          mul_run_len_.push_back(1);
-        }
-      }
-      elim_run_end_.push_back(static_cast<int>(mul_run_dst_.size()));
-    }
-  }
-
-  // Decide once, per pattern, whether the vector MAC pays: count the mul ops
-  // full vectors can cover and the mean run length. Narrow-band and
-  // scattered MNA patterns collapse into short runs where the per-run
-  // bookkeeping (unaligned loads, remainder loop, loop setup) costs more
-  // than the lanes save — measured crossover on banded test patterns sits
-  // near a mean run of ~3 vector widths — so those stay on the flat scalar
-  // program even under SimdKind::Simd (both paths compute bit-identical
-  // values; this is purely a speed decision).
-  {
-    std::size_t vectorized = 0;
-    for (const int len : mul_run_len_)
-      vectorized += static_cast<std::size_t>(len) -
-                    static_cast<std::size_t>(len) % simd::kNativeWidth;
-    const bool covered = 4 * vectorized >= 3 * mul_dst_.size();
-    const bool long_runs =
-        !mul_run_len_.empty() &&
-        mul_dst_.size() >= 3 * simd::kNativeWidth * mul_run_len_.size();
-    simd_runs_profitable_ = covered && long_runs;
-  }
-
   lu_vals_.assign(lu_cols_.size(), 0.0);
   inv_diag_.assign(n, 0.0);
   analyzed_pivot_mag_.assign(n, 0.0);
@@ -423,8 +304,6 @@ void SparseLu::analyze(const SparseMatrix& a) {
 
 bool SparseLu::refactor(const SparseMatrix& a, bool strict) {
   const std::size_t n = n_;
-  double max_pivot = 0.0;
-  double min_pivot = std::numeric_limits<double>::infinity();
 
   // Run the compiled program (see analyze): load every LU slot straight
   // from its A source slot, then replay the recorded elimination sequence
@@ -438,46 +317,17 @@ bool SparseLu::refactor(const SparseMatrix& a, bool strict) {
                 static_cast<std::size_t>(load_run_len_[r]) * sizeof(double));
   for (const int s : fill_slots_) lu_vals_[static_cast<std::size_t>(s)] = 0.0;
 
-  // The MAC kernel dispatches per factor() call: the Simd path walks the
-  // contiguous (dst, src, len) runs with vector multiply-then-subtract —
-  // each element computes exactly the scalar `a -= f * b` (no fusion), and
-  // within a step dst (row being eliminated) and src (pivot row) slots are
-  // disjoint, so the in-place update is safe and the result is bit-identical
-  // to the scalar program order.
-  const bool use_simd =
-      simd_runs_profitable_ && resolved_simd_kind() == SimdKind::Simd;
   int e = 0;
   int m = 0;
-  int run = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (const int e_end = row_elim_end_[i]; e < e_end; ++e) {
       const std::size_t ls = static_cast<std::size_t>(elim_ls_[e]);
       const double factor =
           lu_vals_[ls] * inv_diag_[static_cast<std::size_t>(elim_k_[e])];
       lu_vals_[ls] = factor;
-      if (use_simd) {
-        using V = simd::Vec;
-        constexpr int W = static_cast<int>(simd::kNativeWidth);
-        const V fv = V::broadcast(factor);
-        for (const int run_end = elim_run_end_[e]; run < run_end; ++run) {
-          double* dst = &lu_vals_[static_cast<std::size_t>(mul_run_dst_[run])];
-          const double* src =
-              &lu_vals_[static_cast<std::size_t>(mul_run_src_[run])];
-          const int len = mul_run_len_[run];
-          int j = 0;
-          for (; j + W <= len; j += W) {
-            const V d = V::load(dst + j) - fv * V::load(src + j);
-            d.store(dst + j);
-          }
-          for (; j < len; ++j) dst[j] -= factor * src[j];
-        }
-        m = elim_mul_end_[e];
-      } else {
-        for (const int m_end = elim_mul_end_[e]; m < m_end; ++m)
-          lu_vals_[static_cast<std::size_t>(mul_dst_[m])] -=
-              factor * lu_vals_[static_cast<std::size_t>(mul_src_[m])];
-        run = elim_run_end_[e];
-      }
+      for (const int m_end = elim_mul_end_[e]; m < m_end; ++m)
+        lu_vals_[static_cast<std::size_t>(mul_dst_[m])] -=
+            factor * lu_vals_[static_cast<std::size_t>(mul_src_[m])];
     }
 
     const double pivot = lu_vals_[static_cast<std::size_t>(diag_slot_[i])];
@@ -498,10 +348,7 @@ bool SparseLu::refactor(const SparseMatrix& a, bool strict) {
       analyzed_pivot_mag_[static_cast<std::size_t>(i)] = pivot_mag;
     }
     inv_diag_[i] = 1.0 / pivot;
-    max_pivot = std::max(max_pivot, pivot_mag);
-    min_pivot = std::min(min_pivot, pivot_mag);
   }
-  pivot_ratio_ = (max_pivot > 0.0) ? min_pivot / max_pivot : 0.0;
   return true;
 }
 
@@ -530,13 +377,6 @@ void SparseLu::solve(const std::vector<double>& b,
     w[ii] = acc * inv_diag_[ii];
   }
   for (std::size_t j = 0; j < n; ++j) x[cperm_[j]] = w[j];
-}
-
-void SparseLu::solve_refined(const SparseMatrix& a,
-                             const std::vector<double>& b,
-                             std::vector<double>& x) const {
-  solve(b, x);
-  refine_step(a, b, x);
 }
 
 void SparseLu::refine_step(const SparseMatrix& a, const std::vector<double>& b,

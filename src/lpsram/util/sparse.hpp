@@ -33,23 +33,16 @@ class SparseMatrix {
   std::vector<double>& values() noexcept { return values_; }
   const std::vector<double>& values() const noexcept { return values_; }
 
-  // Flat slot of entry (r, c), or -1 when the entry is structurally absent.
-  int find_slot(int r, int c) const noexcept;
-
   void set_zero() noexcept;
   // Zeroes every stored value in row r (the row becomes numerically zero).
   void zero_row(std::size_t r) noexcept;
-
-  // y = A x + c, with `y` preallocated to dimension(). `c` may alias nothing
-  // or be empty (treated as zero).
-  void multiply_add(const std::vector<double>& x, const std::vector<double>& c,
-                    std::vector<double>& y) const noexcept;
 
   // values = src, then y = A x + c, in a single pass over the pattern. The
   // sparse assembler's per-iteration hot path: reloading the frozen linear
   // base and evaluating the linear residual touch the same slots, so doing
   // both per slot halves the memory traffic of copy-then-multiply. `src`
-  // must have nnz() entries, `y` dimension() entries.
+  // must have nnz() entries, `y` dimension() entries; `c` may be empty
+  // (treated as zero).
   void load_multiply_add(const std::vector<double>& src,
                          const std::vector<double>& x,
                          const std::vector<double>& c,
@@ -89,37 +82,18 @@ class SparseLu {
   // Solves A x = b using the last factor(). `x` is resized to the dimension.
   void solve(const std::vector<double>& b, std::vector<double>& x) const;
 
-  // Solves A x = b, then applies one step of iterative refinement against
-  // the exact matrix `a` (the one passed to the last factor()): r = b - A x,
-  // x += A^{-1} r. On the badly scaled MNA systems this library sees
-  // (condition numbers to ~1e12 when a near-open defect meets gmin), the
-  // refinement buys back the digits the threshold-Markowitz ordering gives
-  // up relative to dense partial pivoting, keeping the Newton dx noise
-  // floor below the solver's 1e-9 V convergence tolerance. Zero heap
-  // allocations after analysis.
-  void solve_refined(const SparseMatrix& a, const std::vector<double>& b,
-                     std::vector<double>& x) const;
-
-  // One refinement step applied to an existing solution `x` of A x = b (as
-  // produced by solve()): r = b - A x, x += A^{-1} r. Equivalent to
-  // solve_refined() when `x` came from solve(b, x), but skips the redundant
-  // initial solve — the Newton endgame path already has the plain solution
-  // in hand when it decides to polish it.
+  // One step of iterative refinement applied to a solution `x` of A x = b
+  // (as produced by solve()), against the exact matrix `a` (the one passed
+  // to the last factor()): r = b - A x, x += A^{-1} r. On the badly scaled
+  // MNA systems this library sees (condition numbers to ~1e12 when a
+  // near-open defect meets gmin), the refinement buys back the digits the
+  // threshold-Markowitz ordering gives up relative to dense partial
+  // pivoting, keeping the Newton dx noise floor below the solver's 1e-9 V
+  // convergence tolerance. Zero heap allocations after analysis.
   void refine_step(const SparseMatrix& a, const std::vector<double>& b,
                    std::vector<double>& x) const;
 
   bool analyzed() const noexcept { return n_ > 0; }
-  // Reciprocal condition estimate from pivot magnitudes (cheap heuristic,
-  // same convention as the dense LuSolver).
-  double pivot_ratio() const noexcept { return pivot_ratio_; }
-  // Fill-in count of L+U (diagnostic; fixed after analysis).
-  std::size_t factor_nnz() const noexcept { return lu_cols_.size(); }
-  // Multiply-subtract count of the compiled refactor program (diagnostic;
-  // the flop cost of one numeric refactor).
-  std::size_t refactor_ops() const noexcept { return mul_dst_.size(); }
-  // Number of analysis passes run (1 on the happy path; more indicate pivot
-  // breakdowns forced re-pivoting).
-  int analyses() const noexcept { return analyses_; }
 
  private:
   // SparseLuLanes (util/sparse_lanes.hpp) adopts the compiled refactor
@@ -179,25 +153,11 @@ class SparseLu {
   std::vector<int> elim_mul_end_;
   std::vector<int> mul_dst_;
   std::vector<int> mul_src_;
-  // The mul ops collapsed into contiguous (dst, src, len) runs, never
-  // crossing an elimination step (the factor changes per step). Within one
-  // step every dst slot lies in the row being eliminated and every src slot
-  // in the (distinct) pivot row, so a run updates disjoint memory and the
-  // SIMD MAC can work in place. elim_run_end_[e] bounds step e's runs.
-  std::vector<int> mul_run_dst_;
-  std::vector<int> mul_run_src_;
-  std::vector<int> mul_run_len_;
-  std::vector<int> elim_run_end_;
-  // Whether the runs are long enough that the vector MAC beats the flat
-  // scalar program for this pattern (set by analyze; see the run collapse).
-  bool simd_runs_profitable_ = false;
   // Scratch for solve's permuted intermediate (allocated at analysis).
   mutable std::vector<double> work_;
-  // Scratch for solve_refined's residual and correction (ditto).
+  // Scratch for refine_step's residual and correction (ditto).
   mutable std::vector<double> refine_r_;
   mutable std::vector<double> refine_e_;
-  double pivot_ratio_ = 0.0;
-  int analyses_ = 0;
 };
 
 }  // namespace lpsram

@@ -1,4 +1,4 @@
-#include "lpsram/runtime/fabric/net/chaos.hpp"
+#include "net_chaos.hpp"
 
 #include <cerrno>
 #include <chrono>

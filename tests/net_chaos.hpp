@@ -1,5 +1,5 @@
 // Deterministic network fault injection for the multi-host fabric — the
-// wire-level sibling of WorkerChaos (worker.hpp).
+// wire-level sibling of WorkerChaos (runtime/fabric/worker.hpp).
 //
 // run_chaos_proxy forwards bytes between one downstream client (the worker)
 // and one upstream server, *frame-aware*: it buffers until it holds a

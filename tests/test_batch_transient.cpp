@@ -13,6 +13,7 @@
 #include "lpsram/spice/batch_transient.hpp"
 #include "lpsram/spice/dc_solver.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/simd.hpp"
 
 namespace lpsram {
@@ -102,22 +103,22 @@ void expect_waves_near(const Waveform& a, const Waveform& b, double tol) {
 // ---------- kind plumbing --------------------------------------------------------
 
 TEST(TransientBatchKindTest, DefaultResolvesToLockstep) {
-  EXPECT_EQ(resolved_transient_batch_kind(), TransientBatchKind::Lockstep);
+  EXPECT_EQ(kernel_config().transient, Kernel::Production);
 }
 
 TEST(TransientBatchKindTest, ScopedOverrideRestores) {
-  const TransientBatchKind before = resolved_transient_batch_kind();
+  const Kernel before = kernel_config().transient;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
-    EXPECT_EQ(resolved_transient_batch_kind(), TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
+    EXPECT_EQ(kernel_config().transient, Kernel::Reference);
     {
-      const ScopedTransientBatchDefault inner(TransientBatchKind::Auto);
-      // Auto resolves to the library default (Lockstep).
-      EXPECT_EQ(resolved_transient_batch_kind(), TransientBatchKind::Lockstep);
+      const ScopedKernelConfig inner(&KernelConfig::transient,
+                                     Kernel::Production);
+      EXPECT_EQ(kernel_config().transient, Kernel::Production);
     }
-    EXPECT_EQ(resolved_transient_batch_kind(), TransientBatchKind::Serial);
+    EXPECT_EQ(kernel_config().transient, Kernel::Reference);
   }
-  EXPECT_EQ(resolved_transient_batch_kind(), before);
+  EXPECT_EQ(kernel_config().transient, before);
 }
 
 // ---------- lockstep vs serial ---------------------------------------------------
@@ -126,19 +127,20 @@ TEST(BatchTransient, SingleLaneLockstepIsBitwiseSerial) {
   // One lane under the scalar SIMD kind replays the serial program exactly:
   // same probe schedule, same arithmetic, same shared-pivot analysis (its
   // own first Jacobian).
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   RailCircuit c = rail_circuit();
   const std::vector<TransientLane> lanes = rail_lanes(c, {4e3});
 
   std::vector<Waveform> serial;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     serial = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
   std::vector<Waveform> lockstep;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     lockstep = solver.run(lanes, {c.out}, rail_stimulus(c.v));
     EXPECT_EQ(solver.evictions(), 0u);
@@ -151,20 +153,21 @@ TEST(BatchTransient, SingleLaneLockstepIsBitwiseSerial) {
 TEST(BatchTransient, EqualValueLanesAreBitwiseSerial) {
   // All lanes identical: every lane's program is the representative's, so
   // each result must be bitwise the serial one.
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   RailCircuit c = rail_circuit();
   const std::vector<TransientLane> lanes =
       rail_lanes(c, {2e3, 2e3, 2e3, 2e3, 2e3});
 
   std::vector<Waveform> serial;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     serial = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
   std::vector<Waveform> lockstep;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     lockstep = solver.run(lanes, {c.out}, rail_stimulus(c.v));
     EXPECT_EQ(solver.evictions(), 0u);
@@ -177,20 +180,21 @@ TEST(BatchTransient, MixedLanesMatchSerialWithinTolerance) {
   // Lanes spanning three decades share the representative's pivot order; a
   // standalone solve may pivot differently, so agreement is to solver
   // tolerance rather than bitwise.
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   RailCircuit c = rail_circuit();
   const std::vector<TransientLane> lanes =
       rail_lanes(c, {1e3, 5e3, 3e4, 2e5, 1e6});
 
   std::vector<Waveform> serial;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     serial = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
   std::vector<Waveform> lockstep;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     lockstep = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
@@ -202,21 +206,23 @@ TEST(BatchTransient, RemainderLanesAreCountIndependent) {
   // A lane's result must not depend on how many other lanes share the batch
   // or on the padding up to the vector stride: sweep every count from 1 to
   // beyond two native widths with identical values and compare bitwise.
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   RailCircuit c = rail_circuit();
   const std::size_t k_max = 2 * simd::kNativeWidth + 3;
 
   const std::vector<TransientLane> one = rail_lanes(c, {8e3});
   std::vector<Waveform> reference;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     reference = solver.run(one, {c.out}, rail_stimulus(c.v));
   }
   for (std::size_t k = 2; k <= k_max; ++k) {
     const std::vector<TransientLane> lanes =
         rail_lanes(c, std::vector<double>(k, 8e3));
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     const std::vector<Waveform> waves =
         solver.run(lanes, {c.out}, rail_stimulus(c.v));
@@ -230,15 +236,18 @@ TEST(BatchTransient, SimdKindMatchesScalarKindWithinTolerance) {
 
   std::vector<Waveform> scalar;
   {
-    const ScopedSimdDefault simd_scope(SimdKind::Scalar);
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     scalar = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
   std::vector<Waveform> simd;
   {
-    const ScopedSimdDefault simd_scope(SimdKind::Simd);
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig simd_scope(&KernelConfig::simd,
+                                        Kernel::Production);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, rail_options());
     simd = solver.run(lanes, {c.out}, rail_stimulus(c.v));
   }
@@ -262,12 +271,13 @@ TEST(BatchTransient, StepUnderflowThrowsLikeSerial) {
   };
 
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     BatchTransientSolver solver(c.nl, 25.0, opts);
     EXPECT_THROW(solver.run(lanes, {c.out}, hard_step), ConvergenceError);
   }
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     BatchTransientSolver solver(c.nl, 25.0, opts);
     EXPECT_THROW(solver.run(lanes, {c.out}, hard_step), ConvergenceError);
   }
@@ -308,7 +318,7 @@ TEST(BatchTransient, RejectsMismatchedInitialState) {
 // ---------- regulator integration ------------------------------------------------
 
 TEST(RegulatorLanes, DsEntryLanesMatchSerialPath) {
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   constexpr DefectId kDf = 8;  // MPreg1 gate line: the transient mechanism
   const std::vector<double> ohms = {1e4, 1e6, 4e7};
   TransientOptions topts;
@@ -329,7 +339,8 @@ TEST(RegulatorLanes, DsEntryLanesMatchSerialPath) {
 
   std::vector<Waveform> batched;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     VoltageRegulator reg(tech(), Corner::Typical);
     reg.set_vdd(1.1);
     reg.select_vref(VrefLevel::V070);
@@ -356,12 +367,13 @@ TEST(RegulatorLanes, RetentionDeficitsMatchScalarOracle) {
 
   std::vector<double> serial;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     serial = serial_ch.retention_deficits(c, kDf, ohms, drv);
   }
   std::vector<double> batched;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     batched = batched_ch.retention_deficits(c, kDf, ohms, drv);
   }
   ASSERT_EQ(serial.size(), ohms.size());
@@ -388,12 +400,13 @@ TEST(RegulatorLanes, DrfThresholdMatchesScalarSchedule) {
 
   double serial = 0.0;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     serial = serial_ch.drf_threshold(c, kDf, kLo, kHi, kRelTol, drv);
   }
   double batched = 0.0;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     batched = batched_ch.drf_threshold(c, kDf, kLo, kHi, kRelTol, drv);
   }
   // The speculative tree probes the scalar schedule's exact points; a
@@ -421,12 +434,13 @@ TEST(RegulatorLanes, NonGateSitesUseScalarPathUnchanged) {
   RegulatorCharacterizer batched_ch(tech(), ArrayLoadModel::Options{});
   double serial = 0.0;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Serial);
+    const ScopedKernelConfig scope(&KernelConfig::transient, Kernel::Reference);
     serial = serial_ch.drf_threshold(c, kDf, 1e3, 1e8, 2.0, drv);
   }
   double batched = 0.0;
   {
-    const ScopedTransientBatchDefault scope(TransientBatchKind::Lockstep);
+    const ScopedKernelConfig scope(&KernelConfig::transient,
+                                   Kernel::Production);
     batched = batched_ch.drf_threshold(c, kDf, 1e3, 1e8, 2.0, drv);
   }
   EXPECT_EQ(serial, batched);

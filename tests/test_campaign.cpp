@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/core/retention_analyzer.hpp"
 #include "lpsram/regulator/characterize.hpp"
 #include "lpsram/runtime/campaign.hpp"
@@ -22,6 +21,7 @@
 #include "lpsram/runtime/journal.hpp"
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/runtime/retry_ladder.hpp"
+#include "lpsram/runtime/sweep.hpp"
 #include "lpsram/spice/netlist.hpp"
 #include "lpsram/stats/drv_surrogate.hpp"
 #include "lpsram/stats/yield/engine.hpp"
@@ -29,7 +29,7 @@
 #include "lpsram/testflow/flow_optimizer.hpp"
 #include "lpsram/util/cancel.hpp"
 #include "lpsram/util/error.hpp"
-#include "lpsram/util/simd.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -418,7 +418,7 @@ TEST(KillReplay, Fig4SweepResumesBitIdentically) {
 // cell kernel is refused when resumed under the defaults (and resumes under
 // the kind it was recorded with).
 enum class Driver { Table2, Table3, Fig4, Regulation, Yield };
-enum class Kernel { ScalarSimd, ScalarCellKernel };
+enum class ReferenceKernel { ScalarSimd, ScalarCellKernel };
 
 const DrvSurrogate& surrogate() {
   static const DrvSurrogate s = DrvSurrogate::train(tech());
@@ -484,22 +484,19 @@ const char* driver_name(Driver driver) {
 }
 
 class KernelFold
-    : public ::testing::TestWithParam<std::tuple<Driver, Kernel>> {};
+    : public ::testing::TestWithParam<std::tuple<Driver, ReferenceKernel>> {};
 
 TEST_P(KernelFold, JournalFromAnotherKernelIsRefused) {
   const auto [driver, kernel] = GetParam();
-  const std::string path = journal_path(
-      std::string("kernel_fold_") + driver_name(driver) +
-      (kernel == Kernel::ScalarSimd ? "_simd" : "_cell") + ".journal");
+  const bool simd = kernel == ReferenceKernel::ScalarSimd;
+  const std::string path =
+      journal_path(std::string("kernel_fold_") + driver_name(driver) +
+                   (simd ? "_simd" : "_cell") + ".journal");
   surrogate();  // trained once, under the default kernels
-  const auto under_kind = [kernel](const auto& body) {
-    if (kernel == Kernel::ScalarSimd) {
-      const ScopedSimdDefault scope(SimdKind::Scalar);
-      body();
-    } else {
-      const ScopedCellKernelDefault scope(CellKernelKind::Scalar);
-      body();
-    }
+  const auto under_kind = [simd](const auto& body) {
+    const ScopedKernelConfig scope(
+        simd ? &KernelConfig::simd : &KernelConfig::cell, Kernel::Reference);
+    body();
   };
   {
     Campaign campaign(path);
@@ -518,13 +515,34 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Driver::Table2, Driver::Table3,
                                          Driver::Fig4, Driver::Regulation,
                                          Driver::Yield),
-                       ::testing::Values(Kernel::ScalarSimd,
-                                         Kernel::ScalarCellKernel)),
-    [](const ::testing::TestParamInfo<std::tuple<Driver, Kernel>>& info) {
+                       ::testing::Values(ReferenceKernel::ScalarSimd,
+                                         ReferenceKernel::ScalarCellKernel)),
+    [](const ::testing::TestParamInfo<std::tuple<Driver, ReferenceKernel>>&
+           info) {
       return std::string(driver_name(std::get<0>(info.param))) +
-             (std::get<1>(info.param) == Kernel::ScalarSimd ? "_ScalarSimd"
-                                                            : "_ScalarCell");
+             (std::get<1>(info.param) == ReferenceKernel::ScalarSimd
+                  ? "_ScalarSimd"
+                  : "_ScalarCell");
     });
+
+// The fold is journal format: these are the manifests every campaign has
+// recorded since the fold was introduced, so a value that moves here
+// refuses every existing journal. Each folded reference kernel must move
+// the fold; the linear solver stays unfolded, and the yield plan folds its
+// exact-batch kernel itself (YieldExactBatch.* in test_yield).
+TEST(ManifestFold, PinnedUnderDefaultsAndMovedByEveryFoldedReference) {
+  constexpr std::uint64_t kDefaults = 0x0a08a33b6bcac1bcULL;
+  EXPECT_EQ(fold_kernel_kinds(0), kDefaults);
+  const auto fold_under = [](Kernel KernelConfig::*field) {
+    const ScopedKernelConfig scope(field, Kernel::Reference);
+    return fold_kernel_kinds(0);
+  };
+  EXPECT_EQ(fold_under(&KernelConfig::cell), 0xf6ed31104ceb87f6ULL);
+  EXPECT_EQ(fold_under(&KernelConfig::simd), 0xa80ece1f8f500113ULL);
+  EXPECT_EQ(fold_under(&KernelConfig::transient), 0x543b5e14755c48cbULL);
+  EXPECT_EQ(fold_under(&KernelConfig::linear_solver), kDefaults);
+  EXPECT_EQ(fold_under(&KernelConfig::yield_exact), kDefaults);
+}
 
 // ---------- cooperative cancellation ----------------------------------------
 

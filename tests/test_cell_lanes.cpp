@@ -2,9 +2,9 @@
 // kernel: Mosfet::eval_lanes vs the scalar eval (bit-identical by
 // construction), the lockstep bracketed root solver, batched-vs-scalar
 // agreement of VTC curves / hold equilibria / SNM / DRV across the paper's
-// case studies and corners, runtime kernel selection semantics, the
-// thread-count x kernel x chaos determinism matrix over the Fig. 4 sweep,
-// and campaign-journal refusal of cross-kernel resumes.
+// case studies and corners, the thread-count x kernel x chaos determinism
+// matrix over the Fig. 4 sweep, and campaign-journal refusal of
+// cross-kernel resumes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +25,7 @@
 #include "lpsram/runtime/chaos.hpp"
 #include "lpsram/testflow/case_studies.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 #include "lpsram/util/rootfind_lanes.hpp"
 #include "lpsram/util/simd.hpp"
@@ -161,7 +162,7 @@ TEST(RootfindLanes, WorkspaceReuseIsStateless) {
 // The identity holds on the scalar-oracle kind; the SIMD kind is pinned to
 // its documented tolerance by SimdEvalLanesMatchesScalarWithinTolerance.
 TEST(MosfetLanes, EvalLanesBitIdenticalToScalarEval) {
-  const ScopedSimdDefault simd_scope(SimdKind::Scalar);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Reference);
   Lcg rng;
   const MosfetParams params[] = {tech().cell_pullup(), tech().cell_pulldown(),
                                  tech().cell_pass()};
@@ -200,7 +201,7 @@ TEST(MosfetLanes, EvalLanesBitIdenticalToScalarEval) {
 // genuinely cancel), not bit-for-bit. Same device / temperature / operating
 // grid as the bit-identity matrix above.
 TEST(MosfetLanes, SimdEvalLanesMatchesScalarWithinTolerance) {
-  const ScopedSimdDefault simd_scope(SimdKind::Simd);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Production);
   const auto near = [](double a, double b, const char* what, std::size_t i) {
     const double tol = 1e-10 * std::fabs(a) + 1e-15;
     EXPECT_NEAR(a, b, tol) << what << " lane " << i;
@@ -236,7 +237,7 @@ TEST(MosfetLanes, SimdEvalLanesMatchesScalarWithinTolerance) {
 // vector, so each lane's result must be independent of the array length —
 // exercised across every length up to a couple of native widths.
 TEST(MosfetLanes, SimdRemainderLanesAreLengthIndependent) {
-  const ScopedSimdDefault simd_scope(SimdKind::Simd);
+  const ScopedKernelConfig simd_scope(&KernelConfig::simd, Kernel::Production);
   const Mosfet m(tech().cell_pulldown());
   constexpr std::size_t kMax = 2 * simd::kNativeWidth + 3;
   Lcg rng;
@@ -294,23 +295,17 @@ TEST(MosfetLanes, SourceCachedNmosEvalMatchesFullEval) {
 // ---------- runtime kernel selection -----------------------------------------
 
 TEST(CellKernel, DefaultIsBatchedAndScopesNestAndRestore) {
-  EXPECT_EQ(default_cell_kernel(), CellKernelKind::Batched);
-  EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Batched);
+  EXPECT_EQ(kernel_config().cell, Kernel::Production);
   {
-    const ScopedCellKernelDefault outer(CellKernelKind::Scalar);
-    EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Scalar);
+    const ScopedKernelConfig outer(&KernelConfig::cell, Kernel::Reference);
+    EXPECT_EQ(kernel_config().cell, Kernel::Reference);
     {
-      const ScopedCellKernelDefault inner(CellKernelKind::Batched);
-      EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Batched);
+      const ScopedKernelConfig inner(&KernelConfig::cell, Kernel::Production);
+      EXPECT_EQ(kernel_config().cell, Kernel::Production);
     }
-    EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Scalar);
+    EXPECT_EQ(kernel_config().cell, Kernel::Reference);
   }
-  EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Batched);
-  // Auto is not a concrete kernel: it resolves to the batched default.
-  {
-    const ScopedCellKernelDefault scope(CellKernelKind::Auto);
-    EXPECT_EQ(resolved_cell_kernel(), CellKernelKind::Batched);
-  }
+  EXPECT_EQ(kernel_config().cell, Kernel::Production);
 }
 
 // ---------- batched vs scalar cell analyses ----------------------------------
@@ -321,11 +316,11 @@ TEST(BatchVtc, CurvesMatchScalarInversions) {
   for (const bool side_s : {true, false}) {
     std::vector<std::pair<double, double>> scalar, batched;
     {
-      const ScopedCellKernelDefault k(CellKernelKind::Scalar);
+      const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Reference);
       scalar = side_s ? vtc.curve_s(1.1, 25.0, 33) : vtc.curve_sb(1.1, 25.0, 33);
     }
     {
-      const ScopedCellKernelDefault k(CellKernelKind::Batched);
+      const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
       batched =
           side_s ? vtc.curve_s(1.1, 25.0, 33) : vtc.curve_sb(1.1, 25.0, 33);
     }
@@ -345,11 +340,11 @@ TEST(BatchVtc, HoldEquilibriumAgreesWithScalar) {
     for (const StoredBit bit : {StoredBit::One, StoredBit::Zero}) {
       HoldState a, b;
       {
-        const ScopedCellKernelDefault k(CellKernelKind::Scalar);
+        const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Reference);
         a = hold_equilibrium(cell, bit, 1.1, 25.0);
       }
       {
-        const ScopedCellKernelDefault k(CellKernelKind::Batched);
+        const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
         b = hold_equilibrium(cell, bit, 1.1, 25.0);
       }
       EXPECT_EQ(a.stable, b.stable) << cs.name();
@@ -368,11 +363,11 @@ TEST(BatchVtc, HoldSnmAgreesWithScalarAcrossCaseStudiesAndCorners) {
       const CoreCell cell(tech(), cs.variation, corner);
       double a = 0.0, b = 0.0;
       {
-        const ScopedCellKernelDefault k(CellKernelKind::Scalar);
+        const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Reference);
         a = hold_snm(cell, cs.attacked_bit(), 0.8, 25.0);
       }
       {
-        const ScopedCellKernelDefault k(CellKernelKind::Batched);
+        const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
         b = hold_snm(cell, cs.attacked_bit(), 0.8, 25.0);
       }
       EXPECT_NEAR(a, b, 2e-4) << cs.name() << " corner "
@@ -393,11 +388,11 @@ TEST(BatchVtc, DrvMatchesScalarWithinOneBisectionBracket) {
       for (const double temp_c : {-40.0, 25.0}) {
         double a = 0.0, b = 0.0;
         {
-          const ScopedCellKernelDefault k(CellKernelKind::Scalar);
+          const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Reference);
           a = drv_hold(cell, cs.attacked_bit(), temp_c);
         }
         {
-          const ScopedCellKernelDefault k(CellKernelKind::Batched);
+          const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
           b = drv_hold(cell, cs.attacked_bit(), temp_c);
         }
         ++total;
@@ -407,7 +402,7 @@ TEST(BatchVtc, DrvMatchesScalarWithinOneBisectionBracket) {
             << cs.name() << " corner " << static_cast<int>(corner) << " temp "
             << temp_c << ": scalar " << a << " batched " << b;
         // Rerunning the batched search must be deterministic.
-        const ScopedCellKernelDefault k(CellKernelKind::Batched);
+        const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
         EXPECT_EQ(drv_hold(cell, cs.attacked_bit(), temp_c), b);
       }
     }
@@ -418,9 +413,9 @@ TEST(BatchVtc, DrvMatchesScalarWithinOneBisectionBracket) {
 
 // ---------- Fig. 4 determinism matrix ----------------------------------------
 
-std::vector<Fig4Point> fig4(CellKernelKind kernel, int threads,
-                            bool chaos_on, Campaign* campaign = nullptr) {
-  const ScopedCellKernelDefault scope(kernel);
+std::vector<Fig4Point> fig4(Kernel kernel, int threads, bool chaos_on,
+                            Campaign* campaign = nullptr) {
+  const ScopedKernelConfig scope(&KernelConfig::cell, kernel);
   const RetentionAnalyzer analyzer(tech());
   const std::vector<double> sigmas = {-3.0, 0.0, 3.0};
   const std::vector<Corner> corners = {Corner::Typical};
@@ -454,12 +449,11 @@ TEST(BatchVtc, Fig4MatrixDeterministicAcrossThreadsKernelsAndChaos) {
   // with and without chaos fault injection (the cell layer never touches
   // the sabotaged DC-solver hooks). Across kernels the tables agree to the
   // fold-band tolerance.
-  const std::vector<Fig4Point> scalar1 = fig4(CellKernelKind::Scalar, 1, false);
-  const std::vector<Fig4Point> batched1 =
-      fig4(CellKernelKind::Batched, 1, false);
+  const std::vector<Fig4Point> scalar1 = fig4(Kernel::Reference, 1, false);
+  const std::vector<Fig4Point> batched1 = fig4(Kernel::Production, 1, false);
   for (const int threads : {2, 8}) {
-    expect_fig4_eq(fig4(CellKernelKind::Scalar, threads, true), scalar1);
-    expect_fig4_eq(fig4(CellKernelKind::Batched, threads, true), batched1);
+    expect_fig4_eq(fig4(Kernel::Reference, threads, true), scalar1);
+    expect_fig4_eq(fig4(Kernel::Production, threads, true), batched1);
   }
   ASSERT_EQ(scalar1.size(), batched1.size());
   for (std::size_t i = 0; i < scalar1.size(); ++i) {
@@ -478,19 +472,18 @@ TEST(BatchVtc, Fig4JournalRefusesResumeUnderDifferentKernel) {
   std::vector<Fig4Point> recorded;
   {
     Campaign campaign(path.string());
-    recorded = fig4(CellKernelKind::Batched, 1, false, &campaign);
+    recorded = fig4(Kernel::Production, 1, false, &campaign);
   }
   {
     // Same kernel: the resume replays every task from the journal.
     Campaign campaign(path.string());
-    expect_fig4_eq(fig4(CellKernelKind::Batched, 1, false, &campaign),
-                   recorded);
+    expect_fig4_eq(fig4(Kernel::Production, 1, false, &campaign), recorded);
   }
   {
     // Different kernel: the manifest fingerprint differs and the campaign
     // refuses instead of blending near-identical DRVs into one table.
     Campaign campaign(path.string());
-    EXPECT_THROW(fig4(CellKernelKind::Scalar, 1, false, &campaign),
+    EXPECT_THROW(fig4(Kernel::Reference, 1, false, &campaign),
                  InvalidArgument);
   }
 }

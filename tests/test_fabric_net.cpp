@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "lpsram/runtime/fabric/net/auth.hpp"
-#include "lpsram/runtime/fabric/net/chaos.hpp"
 #include "lpsram/runtime/fabric/net/net.hpp"
 #include "lpsram/runtime/fabric/net/remote_worker.hpp"
 #include "lpsram/runtime/fabric/net/server.hpp"
@@ -28,6 +27,7 @@
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/util/error.hpp"
 #include "fabric_synth.hpp"
+#include "net_chaos.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -130,6 +130,17 @@ TEST(NetAuth, TokenFileTrimsWhitespaceAndRejectsEmpty) {
   }
   EXPECT_THROW(load_token_file(dir + "/empty"), InvalidArgument);
   EXPECT_THROW(load_token_file(dir + "/missing"), InvalidArgument);
+  // The size cap: a file at the cap is still a token, one byte more is not.
+  {
+    std::ofstream out(dir + "/at-cap");
+    out << std::string(kMaxTokenFileBytes, 'k');
+  }
+  EXPECT_EQ(load_token_file(dir + "/at-cap").size(), kMaxTokenFileBytes);
+  {
+    std::ofstream out(dir + "/oversized");
+    out << std::string(kMaxTokenFileBytes + 1, 'k');
+  }
+  EXPECT_THROW(load_token_file(dir + "/oversized"), InvalidArgument);
 }
 
 TEST(NetAuth, HandshakeMacBindsDirectionAndTranscript) {

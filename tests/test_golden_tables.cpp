@@ -29,6 +29,7 @@
 #include "lpsram/testflow/defect_characterization.hpp"
 #include "lpsram/testflow/flow_optimizer.hpp"
 #include "lpsram/testflow/pvt.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -252,7 +253,7 @@ TEST(GoldenYield, SigmaToYieldCurveAtReferenceSeed) {
   // The curve is pinned to the *configuration*, not to how candidates are
   // marched through the kernel: the one-at-a-time oracle loop must land on
   // the same failure counts and tail probabilities bit-for-bit.
-  const ScopedYieldExactBatchDefault one(YieldExactBatchKind::OneAtATime);
+  const ScopedKernelConfig one(&KernelConfig::yield_exact, Kernel::Reference);
   const YieldPlan oracle_plan(tech(), surrogate, options);
   const YieldResult oracle = run_yield(oracle_plan);
   ASSERT_EQ(oracle.points.size(), result.points.size());

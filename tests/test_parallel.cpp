@@ -16,6 +16,7 @@
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/testflow/defect_characterization.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -343,12 +344,10 @@ CellFingerprint fingerprint(const DefectCsResult& result) {
 }
 
 std::vector<CellFingerprint> run_sweep(
-    int threads, bool solve_cache,
-    LinearSolverKind solver = LinearSolverKind::Auto) {
-  // Pin the whole sweep (every DcOptions{} down the stack) onto one linear
-  // kernel; Auto leaves the process default (sparse) in force.
-  const ScopedLinearSolverDefault kernel(
-      solver == LinearSolverKind::Auto ? default_linear_solver() : solver);
+    int threads, bool solve_cache, Kernel solver = Kernel::Production) {
+  // Pin the whole sweep (every Newton solve down the stack) onto one linear
+  // kernel: the production sparse LU or the dense reference.
+  const ScopedKernelConfig kernel(&KernelConfig::linear_solver, solver);
   // Chaos that sabotages some first attempts AND some retries: a fixed,
   // seed-driven mixture of recovered solves and quarantined points. The
   // fingerprints below assert both kinds are identical at every thread
@@ -392,15 +391,15 @@ TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsCacheOn) {
 // solve cache, the sparse/dense choice may change which operating point a
 // solve lands on by last-ulp amounts, but thread count never may.
 TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsSparseKernel) {
-  const auto serial = run_sweep(1, false, LinearSolverKind::Sparse);
-  EXPECT_EQ(run_sweep(2, false, LinearSolverKind::Sparse), serial);
-  EXPECT_EQ(run_sweep(8, false, LinearSolverKind::Sparse), serial);
+  const auto serial = run_sweep(1, false, Kernel::Production);
+  EXPECT_EQ(run_sweep(2, false, Kernel::Production), serial);
+  EXPECT_EQ(run_sweep(8, false, Kernel::Production), serial);
 }
 
 TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsDenseKernel) {
-  const auto serial = run_sweep(1, false, LinearSolverKind::Dense);
-  EXPECT_EQ(run_sweep(2, false, LinearSolverKind::Dense), serial);
-  EXPECT_EQ(run_sweep(8, false, LinearSolverKind::Dense), serial);
+  const auto serial = run_sweep(1, false, Kernel::Reference);
+  EXPECT_EQ(run_sweep(2, false, Kernel::Reference), serial);
+  EXPECT_EQ(run_sweep(8, false, Kernel::Reference), serial);
 }
 
 }  // namespace

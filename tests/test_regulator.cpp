@@ -12,6 +12,7 @@
 #include "lpsram/cell/snm.hpp"
 #include "lpsram/regulator/characterize.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -359,9 +360,8 @@ TEST(ArrayLoad, GridCurrentIsTheDirectCellSolve) {
   // The shared table holds exactly the per-cell hold current a direct solve
   // gives, under either cell kernel. total_cells is a power of two, so
   // current / total_cells recovers the table entry bit for bit.
-  for (const CellKernelKind kind :
-       {CellKernelKind::Scalar, CellKernelKind::Batched}) {
-    const ScopedCellKernelDefault scope(kind);
+  for (const Kernel kernel : {Kernel::Reference, Kernel::Production}) {
+    const ScopedKernelConfig scope(&KernelConfig::cell, kernel);
     for (const Corner corner : {Corner::Typical, Corner::FastNSlowP}) {
       const CoreCell cell(tech(), CellVariation{}, corner);
       const ArrayLoadModel model(tech(), corner, ArrayLoadModel::Options{});
@@ -377,7 +377,7 @@ TEST(ArrayLoad, GridCurrentIsTheDirectCellSolve) {
           }
           ASSERT_EQ(key_bits(model.current(v, temp) / cells),
                     key_bits(expected))
-              << "kernel " << int(kind) << ", " << corner_name(corner) << ", "
+              << "kernel " << int(kernel) << ", " << corner_name(corner) << ", "
               << temp << " C, grid point " << k;
         }
       }

@@ -1,7 +1,6 @@
 // Property tests for the portable SIMD layer (util/simd.hpp): the
 // vexp/vlog1p max-ulp contracts against libm over the MOSFET operating
-// range, remainder/padding handling, backend identity and the SimdKind
-// plumbing. The suite is sanitizer-clean by construction (no reads past
+// range, remainder/padding handling and backend identity. The suite is sanitizer-clean by construction (no reads past
 // round_up_lanes buffers) and is part of the TSan/ASan/UBSan CI jobs.
 #include <gtest/gtest.h>
 
@@ -11,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/simd.hpp"
 
 namespace lpsram {
@@ -165,17 +165,17 @@ TEST(SimdKindTest, BackendIdentityIsConsistent) {
 }
 
 TEST(SimdKindTest, ScopedDefaultRestores) {
-  const SimdKind before = resolved_simd_kind();
+  const Kernel before = kernel_config().simd;
   {
-    const ScopedSimdDefault scope(SimdKind::Scalar);
-    EXPECT_EQ(resolved_simd_kind(), SimdKind::Scalar);
+    const ScopedKernelConfig scope(&KernelConfig::simd, Kernel::Reference);
+    EXPECT_EQ(kernel_config().simd, Kernel::Reference);
     {
-      const ScopedSimdDefault inner(SimdKind::Simd);
-      EXPECT_EQ(resolved_simd_kind(), SimdKind::Simd);
+      const ScopedKernelConfig inner(&KernelConfig::simd, Kernel::Production);
+      EXPECT_EQ(kernel_config().simd, Kernel::Production);
     }
-    EXPECT_EQ(resolved_simd_kind(), SimdKind::Scalar);
+    EXPECT_EQ(kernel_config().simd, Kernel::Reference);
   }
-  EXPECT_EQ(resolved_simd_kind(), before);
+  EXPECT_EQ(kernel_config().simd, before);
 }
 
 }  // namespace

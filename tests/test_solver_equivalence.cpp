@@ -19,6 +19,7 @@
 #include "lpsram/spice/stamp_plan.hpp"
 #include "lpsram/spice/transient.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 
 namespace lpsram {
 namespace {
@@ -39,17 +40,16 @@ namespace {
 constexpr double kNodeTol = 1e-12;
 constexpr double kRegulatorNodeTol = 1e-8;
 
-DcResult solve_kind(const Netlist& nl, double temp, LinearSolverKind kind) {
-  DcOptions options;
-  options.linear_solver = kind;
-  return DcSolver(nl, temp, options).solve();
+DcResult solve_kind(const Netlist& nl, double temp, Kernel kernel) {
+  const ScopedKernelConfig scope(&KernelConfig::linear_solver, kernel);
+  return DcSolver(nl, temp).solve();
 }
 
 void expect_kernels_agree(const Netlist& nl, double temp,
                           const std::string& label,
                           double tol = kNodeTol) {
-  const DcResult sparse = solve_kind(nl, temp, LinearSolverKind::Sparse);
-  const DcResult dense = solve_kind(nl, temp, LinearSolverKind::Dense);
+  const DcResult sparse = solve_kind(nl, temp, Kernel::Production);
+  const DcResult dense = solve_kind(nl, temp, Kernel::Reference);
   ASSERT_TRUE(sparse.converged) << label;
   ASSERT_TRUE(dense.converged) << label;
   ASSERT_EQ(sparse.node_v.size(), dense.node_v.size()) << label;
@@ -174,7 +174,7 @@ TEST(SparseAssembly, JacobianAndResidualMatchDense) {
   const std::size_t dim = assembler.dimension();
 
   // Probe at a non-trivial, reproducible point: the converged solution.
-  const DcResult op = solve_kind(reg.netlist(), 25.0, LinearSolverKind::Dense);
+  const DcResult op = solve_kind(reg.netlist(), 25.0, Kernel::Reference);
   ASSERT_TRUE(op.converged);
   const std::vector<double>& x = op.x;
   const double gmin = DcOptions{}.gmin;
@@ -323,15 +323,12 @@ TEST(SolverEquivalence, TransientRcMatchesAcrossKernels) {
 
   Netlist nl_sparse = build();
   Netlist nl_dense = build();
-  TransientOptions sparse_opt = options;
-  sparse_opt.dc.linear_solver = LinearSolverKind::Sparse;
-  TransientOptions dense_opt = options;
-  dense_opt.dc.linear_solver = LinearSolverKind::Dense;
-
-  TransientSolver ts(nl_sparse, 25.0, sparse_opt);
-  TransientSolver td(nl_dense, 25.0, dense_opt);
-  const Waveform ws = ts.run({nl_sparse.node("out")});
-  const Waveform wd = td.run({nl_dense.node("out")});
+  const auto run_kind = [&options](Netlist& nl, Kernel kernel) {
+    const ScopedKernelConfig scope(&KernelConfig::linear_solver, kernel);
+    return TransientSolver(nl, 25.0, options).run({nl.node("out")});
+  };
+  const Waveform ws = run_kind(nl_sparse, Kernel::Production);
+  const Waveform wd = run_kind(nl_dense, Kernel::Reference);
 
   ASSERT_EQ(ws.time.size(), wd.time.size());
   for (std::size_t k = 0; k < ws.time.size(); ++k) {
@@ -345,7 +342,7 @@ TEST(SolverEquivalence, TransientRcMatchesAcrossKernels) {
 TEST(DcSolverAccounting, TotalIterationsCoversAllAttempts) {
   const Technology tech = Technology::lp40nm();
   VoltageRegulator reg(tech, Corner::Typical);
-  const DcResult r = solve_kind(reg.netlist(), 25.0, LinearSolverKind::Sparse);
+  const DcResult r = solve_kind(reg.netlist(), 25.0, Kernel::Production);
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.iterations, 0);
   // total covers at least the successful attempt, plus any failed strategies.

@@ -1,13 +1,24 @@
-// Unit tests for the util module: units/formatting, dense LU, root finding,
-// strings and table rendering.
+// Unit tests for the util module: units/formatting, dense LU, sparse LU
+// (scalar and lane-batched), the kernel config, root finding, strings and
+// table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
+#include "lpsram/device/technology.hpp"
+#include "lpsram/regulator/regulator.hpp"
+#include "lpsram/spice/dc_solver.hpp"
+#include "lpsram/spice/elements.hpp"
+#include "lpsram/spice/stamp_plan.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/matrix.hpp"
 #include "lpsram/util/rootfind.hpp"
+#include "lpsram/util/simd.hpp"
+#include "lpsram/util/sparse.hpp"
+#include "lpsram/util/sparse_lanes.hpp"
 #include "lpsram/util/strings.hpp"
 #include "lpsram/util/table.hpp"
 #include "lpsram/util/units.hpp"
@@ -135,6 +146,329 @@ TEST(LuSolver, WideDynamicRange) {
   const std::vector<double> x = solve_linear_system(a, {1.0, 0.0});
   // Node 1 follows node 0 through the tiny coupling: x1 = x0/2.
   EXPECT_NEAR(x[1], x[0] / 2.0, 1e-9);
+}
+
+// ---------- sparse LU ------------------------------------------------------------
+
+Matrix to_dense(const SparseMatrix& a) {
+  Matrix d(a.dimension(), a.dimension());
+  for (std::size_t r = 0; r < a.dimension(); ++r)
+    for (int s = a.row_ptr()[r]; s < a.row_ptr()[r + 1]; ++s)
+      d(r, static_cast<std::size_t>(a.cols()[static_cast<std::size_t>(s)])) =
+          a.values()[static_cast<std::size_t>(s)];
+  return d;
+}
+
+// Row-major pattern of a full diagonal plus each off-diagonal entry with
+// probability `density`.
+SparseMatrix random_pattern(std::size_t n, double density, std::mt19937_64& rng) {
+  std::bernoulli_distribution present(density);
+  std::vector<int> row_ptr(n + 1, 0);
+  std::vector<int> cols;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c)
+      if (c == r || present(rng)) cols.push_back(static_cast<int>(c));
+    row_ptr[r + 1] = static_cast<int>(cols.size());
+  }
+  return SparseMatrix(n, std::move(row_ptr), std::move(cols));
+}
+
+// Fresh random values on `a`'s pattern, strictly diagonally dominant.
+void fill_dominant(SparseMatrix& a, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t r = 0; r < a.dimension(); ++r) {
+    double off = 0.0;
+    int diag = -1;
+    for (int s = a.row_ptr()[r]; s < a.row_ptr()[r + 1]; ++s) {
+      const std::size_t slot = static_cast<std::size_t>(s);
+      if (static_cast<std::size_t>(a.cols()[slot]) == r) {
+        diag = s;
+        continue;
+      }
+      a.values()[slot] = dist(rng);
+      off += std::fabs(a.values()[slot]);
+    }
+    a.values()[static_cast<std::size_t>(diag)] = 1.0 + off + dist(rng) * 0.5;
+  }
+}
+
+std::vector<double> random_vector(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> v(n);
+  for (double& x : v) x = dist(rng);
+  return v;
+}
+
+// The matrix production factors: the Fig. 5 regulator's MNA Jacobian at
+// its DC operating point.
+SparseMatrix regulator_jacobian() {
+  const Technology tech = Technology::lp40nm();
+  VoltageRegulator reg(tech, Corner::Typical);
+  const DcResult op = DcSolver(reg.netlist(), 25.0).solve();
+  SystemAssembler assembler(reg.netlist(), 25.0);
+  NewtonWorkspace ws;
+  assembler.assemble_sparse(op.x, DcOptions{}.gmin, ws);
+  return ws.jacobian;
+}
+
+double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    worst = std::max(worst, std::fabs(a[i] - b[i]));
+  return worst;
+}
+
+double max_abs(const std::vector<double>& v) {
+  double worst = 0.0;
+  for (const double x : v) worst = std::max(worst, std::fabs(x));
+  return worst;
+}
+
+// max |b - A x| over the rows.
+double residual_norm(const SparseMatrix& a, const std::vector<double>& x,
+                     const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t r = 0; r < a.dimension(); ++r) {
+    double acc = b[r];
+    for (int s = a.row_ptr()[r]; s < a.row_ptr()[r + 1]; ++s)
+      acc -= a.values()[static_cast<std::size_t>(s)] *
+             x[static_cast<std::size_t>(a.cols()[static_cast<std::size_t>(s)])];
+    worst = std::max(worst, std::fabs(acc));
+  }
+  return worst;
+}
+
+TEST(SparseLu, SolvesRegulatorJacobianLikeDense) {
+  const SparseMatrix a = regulator_jacobian();
+  std::mt19937_64 rng(7);
+  const std::vector<double> b = random_vector(a.dimension(), rng);
+  SparseLu lu;
+  lu.factor(a);
+  std::vector<double> x;
+  lu.solve(b, x);
+  const std::vector<double> dense = solve_linear_system(to_dense(a), b);
+  EXPECT_LE(max_abs_diff(x, dense), 1e-8 * max_abs(dense));
+}
+
+TEST(SparseLu, SolvesRandomDiagonallyDominantPattern) {
+  std::mt19937_64 rng(11);
+  for (const std::size_t n : {1u, 5u, 40u}) {
+    SparseMatrix a = random_pattern(n, 0.1, rng);
+    fill_dominant(a, rng);
+    const std::vector<double> b = random_vector(n, rng);
+    SparseLu lu;
+    lu.factor(a);
+    std::vector<double> x;
+    lu.solve(b, x);
+    const std::vector<double> dense = solve_linear_system(to_dense(a), b);
+    EXPECT_LE(max_abs_diff(x, dense), 1e-12) << "n=" << n;
+  }
+}
+
+TEST(SparseLu, RefactorsAfterValuesChangeOnSamePattern) {
+  std::mt19937_64 rng(13);
+  SparseMatrix a = random_pattern(30, 0.15, rng);
+  SparseLu lu;
+  std::vector<double> x;
+  for (int round = 0; round < 4; ++round) {
+    fill_dominant(a, rng);
+    const std::vector<double> b = random_vector(a.dimension(), rng);
+    lu.factor(a);  // analysis once, then numeric refactors
+    lu.solve(b, x);
+    const std::vector<double> dense = solve_linear_system(to_dense(a), b);
+    EXPECT_LE(max_abs_diff(x, dense), 1e-12) << "round " << round;
+  }
+}
+
+TEST(SparseLu, RefineStepDoesNotIncreaseResidual) {
+  // Wilkinson-style growth under the threshold pivot rule: 0.1 diagonals
+  // sit exactly at the acceptance threshold over -1 subdiagonals, the
+  // Markowitz tie-break keeps the diagonal, and each step multiplies the
+  // dense last column by 10. The plain solve then carries a residual far
+  // above rounding level, which one refinement step must not increase (on
+  // a well-conditioned order the residual is already at rounding level,
+  // where a step moves it by a few ulps either way).
+  constexpr int n = 10;
+  std::vector<int> row_ptr(n + 1, 0);
+  std::vector<int> cols;
+  std::vector<double> vals;
+  for (int r = 0; r < n; ++r) {
+    if (r > 0) {
+      cols.push_back(r - 1);
+      vals.push_back(-1.0);
+    }
+    if (r < n - 1) {
+      cols.push_back(r);
+      vals.push_back(0.1);
+    }
+    cols.push_back(n - 1);
+    vals.push_back(1.0);
+    row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<int>(cols.size());
+  }
+  SparseMatrix a(n, std::move(row_ptr), std::move(cols));
+  a.values() = vals;
+  std::mt19937_64 rng(17);
+  const std::vector<double> b = random_vector(n, rng);
+  SparseLu lu;
+  lu.factor(a);
+  std::vector<double> x;
+  lu.solve(b, x);
+  const double before = residual_norm(a, x, b);
+  lu.refine_step(a, b, x);
+  const double after = residual_norm(a, x, b);
+  EXPECT_GT(before, 1e-12);  // the growth is real
+  EXPECT_LE(after, before);
+  EXPECT_LT(after, 1e-14);
+}
+
+TEST(SparseLu, NumericallySingularThrows) {
+  // Full pattern, rank one: the second pivot eliminates to exactly zero.
+  SparseMatrix a(2, {0, 2, 4}, {0, 1, 0, 1});
+  a.values() = {1.0, 2.0, 2.0, 4.0};
+  SparseLu lu;
+  EXPECT_THROW(lu.factor(a), ConvergenceError);
+}
+
+TEST(SparseLu, StructurallySingularThrows) {
+  // Row 1 stores no entries, so no value set can make the matrix regular.
+  SparseMatrix a(2, {0, 2, 2}, {0, 1});
+  a.values() = {1.0, 1.0};
+  SparseLu lu;
+  EXPECT_THROW(lu.factor(a), ConvergenceError);
+}
+
+TEST(SparseLu, PivotCollapseTriggersReanalysisAndStillSolves) {
+  // Analyzed on [2 1; 1 1], the order pivots on a00. Shrinking a00 to
+  // 1e-12 collapses that pivot far past kPivotDriftLimit; keeping the stale
+  // order would amplify rounding by ~1e12 (the multiplier a10/a00), so an
+  // answer exact to ~1e-15 shows the factor re-pivoted onto a10.
+  SparseMatrix a(2, {0, 2, 4}, {0, 1, 0, 1});
+  a.values() = {2.0, 1.0, 1.0, 1.0};
+  SparseLu lu;
+  lu.factor(a);
+  const double eps = 1e-12;
+  ASSERT_GT(2.0 / eps, SparseLu::kPivotDriftLimit);
+  a.values() = {eps, 1.0, 1.0, 1.0};
+  lu.factor(a);
+  std::vector<double> x;
+  lu.solve({1.0, 2.0}, x);
+  // x0 = 1 / (1 - eps), x1 = (1 - 2 eps) / (1 - eps).
+  EXPECT_NEAR(x[0], 1.0 / (1.0 - eps), 1e-15);
+  EXPECT_NEAR(x[1], (1.0 - 2.0 * eps) / (1.0 - eps), 1e-15);
+}
+
+// Lane-SoA copy of per-lane matrices that share one pattern.
+std::vector<double> soa_values(const std::vector<SparseMatrix>& lanes,
+                               std::size_t stride) {
+  const std::size_t nnz = lanes.front().nnz();
+  std::vector<double> out(nnz * stride, 0.0);
+  for (std::size_t l = 0; l < lanes.size(); ++l)
+    for (std::size_t s = 0; s < nnz; ++s)
+      out[s * stride + l] = lanes[l].values()[s];
+  return out;
+}
+
+std::vector<double> soa_vectors(const std::vector<std::vector<double>>& lanes,
+                                std::size_t stride) {
+  const std::size_t n = lanes.front().size();
+  std::vector<double> out(n * stride, 0.0);
+  for (std::size_t l = 0; l < lanes.size(); ++l)
+    for (std::size_t i = 0; i < n; ++i) out[i * stride + l] = lanes[l][i];
+  return out;
+}
+
+TEST(SparseLuLanes, EachLaneIsBitIdenticalToScalarAndSingularLaneIsIsolated) {
+  std::mt19937_64 rng(19);
+  SparseMatrix base = random_pattern(24, 0.15, rng);
+  fill_dominant(base, rng);
+  SparseLu base_lu;
+  base_lu.factor(base);
+
+  // More lanes than one native vector, so a remainder group is exercised;
+  // lane 2 is all-zero and must fail alone.
+  const std::size_t k = simd::kNativeWidth + 3;
+  constexpr std::size_t kSingular = 2;
+  std::vector<SparseMatrix> mats(k, base);
+  std::vector<std::vector<double>> rhs(k);
+  for (std::size_t l = 0; l < k; ++l) {
+    fill_dominant(mats[l], rng);
+    rhs[l] = random_vector(base.dimension(), rng);
+  }
+  std::fill(mats[kSingular].values().begin(), mats[kSingular].values().end(),
+            0.0);
+
+  SparseLuLanes lanes;
+  lanes.bind(base_lu, k);
+  const std::size_t st = lanes.stride();
+  const std::vector<double> avals = soa_values(mats, st);
+  const std::vector<double> b = soa_vectors(rhs, st);
+  const std::vector<unsigned char> active(k, 1);
+
+  std::vector<unsigned char> ok(k, 0);
+  std::vector<double> x(base.dimension() * st);
+  lanes.refactor(avals.data(), active.data(), ok.data());
+  lanes.solve(b.data(), x.data());
+
+  // The fused factor-and-forward path production transients run on.
+  std::vector<unsigned char> ok_fused(k, 0);
+  std::vector<double> x_fused(base.dimension() * st);
+  lanes.refactor_fused_forward(avals.data(), b.data(), active.data(),
+                               ok_fused.data());
+  lanes.solve_fused_back(x_fused.data());
+
+  for (std::size_t l = 0; l < k; ++l) {
+    if (l == kSingular) {
+      EXPECT_EQ(ok[l], 0);
+      EXPECT_EQ(ok_fused[l], 0);
+      continue;
+    }
+    ASSERT_EQ(ok[l], 1) << "lane " << l;
+    ASSERT_EQ(ok_fused[l], 1) << "lane " << l;
+    // A scalar LU on the same pivot order: a copy of the analyzed base.
+    SparseLu scalar = base_lu;
+    scalar.factor(mats[l]);
+    std::vector<double> expected;
+    scalar.solve(rhs[l], expected);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(x[i * st + l], expected[i]) << "lane " << l << " row " << i;
+      EXPECT_EQ(x_fused[i * st + l], expected[i])
+          << "lane " << l << " row " << i;
+    }
+  }
+}
+
+// ---------- kernel config ------------------------------------------------------
+
+TEST(KernelConfig, ScopesNestAndRestoreEveryField) {
+  const KernelConfig production;
+  EXPECT_EQ(kernel_config(), production);
+  for (Kernel KernelConfig::*field :
+       {&KernelConfig::linear_solver, &KernelConfig::cell, &KernelConfig::simd,
+        &KernelConfig::transient, &KernelConfig::yield_exact}) {
+    EXPECT_EQ(production.*field, Kernel::Production);
+    KernelConfig reference = production;
+    reference.*field = Kernel::Reference;
+    {
+      const ScopedKernelConfig outer(field, Kernel::Reference);
+      EXPECT_EQ(kernel_config(), reference);
+      {
+        const ScopedKernelConfig inner(field, Kernel::Production);
+        EXPECT_EQ(kernel_config(), production);
+      }
+      EXPECT_EQ(kernel_config(), reference);
+    }
+    EXPECT_EQ(kernel_config(), production);
+  }
+  // Scopes on different fields stack, and unwind in reverse order.
+  {
+    const ScopedKernelConfig cell(&KernelConfig::cell, Kernel::Reference);
+    const ScopedKernelConfig simd(&KernelConfig::simd, Kernel::Reference);
+    KernelConfig expected = production;
+    expected.cell = Kernel::Reference;
+    expected.simd = Kernel::Reference;
+    EXPECT_EQ(kernel_config(), expected);
+  }
+  EXPECT_EQ(kernel_config(), production);
 }
 
 // ---------- root finding ----------------------------------------------------------

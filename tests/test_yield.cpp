@@ -17,6 +17,7 @@
 #include "lpsram/stats/yield/counter_rng.hpp"
 #include "lpsram/stats/yield/engine.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/simd.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -164,11 +165,11 @@ TEST(YieldEquivalence, LaneKernelAgreesWithScalarOnSampledFields) {
     const CoreCell cell(tech(), v);
     double scalar, batched;
     {
-      const ScopedCellKernelDefault k(CellKernelKind::Scalar);
+      const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Reference);
       scalar = drv_ds(cell, 25.0).drv();
     }
     {
-      const ScopedCellKernelDefault k(CellKernelKind::Batched);
+      const ScopedKernelConfig k(&KernelConfig::cell, Kernel::Production);
       batched = drv_ds(cell, 25.0).drv();
     }
     EXPECT_NEAR(scalar, batched, 0.005 * scalar + 1e-6) << "sample " << i;
@@ -512,7 +513,7 @@ TEST(CrossBatch, AgreesWithSoloKernelOnSampledFields) {
 }
 
 TEST(CrossBatch, BitIdenticalToSoloUnderForcedScalarSimd) {
-  const ScopedSimdDefault simd(SimdKind::Scalar);
+  const ScopedKernelConfig simd(&KernelConfig::simd, Kernel::Reference);
   const std::vector<CellVariation> fields = cross_fields(0xC6u, 7);
   std::vector<CoreCell> cells;
   cells.reserve(fields.size());
@@ -560,11 +561,11 @@ TEST(YieldExactBatch, CurveBitIdenticalAcrossBatchKinds) {
   const YieldEngineOptions options = small_options(YieldMode::Blockade);
   YieldResult one, lane;
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::OneAtATime);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Reference);
     one = run_yield(YieldPlan(tech(), surrogate(), options));
   }
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::LaneBatch);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Production);
     lane = run_yield(YieldPlan(tech(), surrogate(), options));
   }
   ASSERT_GT(lane.candidates, 0u);  // the gate must actually stage work
@@ -577,11 +578,11 @@ TEST(YieldExactBatch, CurveBitIdenticalAcrossBatchKinds) {
   brute.trials = 1;
   brute.block_cells = 128;
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::OneAtATime);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Reference);
     one = run_yield(YieldPlan(tech(), surrogate(), brute));
   }
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::LaneBatch);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Production);
     lane = run_yield(YieldPlan(tech(), surrogate(), brute));
   }
   EXPECT_EQ(lane.exact_solves, lane.samples);
@@ -592,17 +593,17 @@ TEST(YieldExactBatch, ScalarCellKernelFallsBackResultNeutral) {
   // LaneBatch requires the batched cell kernel; under a scalar cell-kernel
   // default the engine must quietly take the one-at-a-time path and still
   // produce the scalar oracle's exact bits.
-  const ScopedCellKernelDefault kernel(CellKernelKind::Scalar);
+  const ScopedKernelConfig kernel(&KernelConfig::cell, Kernel::Reference);
   YieldEngineOptions options = small_options(YieldMode::Blockade);
   options.rows = 32;
   options.vreg_grid = {0.30};
   YieldResult one, lane;
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::OneAtATime);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Reference);
     one = run_yield(YieldPlan(tech(), surrogate(), options));
   }
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::LaneBatch);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Production);
     lane = run_yield(YieldPlan(tech(), surrogate(), options));
   }
   expect_bit_identical(lane, one);
@@ -616,13 +617,13 @@ TEST(YieldExactBatch, FingerprintAndManifestRefuseMismatchedBatchKind) {
   fs::remove(path);
   std::uint64_t lane_fp = 0;
   {
-    const ScopedYieldExactBatchDefault s(YieldExactBatchKind::LaneBatch);
+    const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Production);
     const YieldPlan plan(tech(), surrogate(), options);
     lane_fp = plan.fingerprint();
     Campaign campaign(path);
     run_yield(plan, &campaign);
   }
-  const ScopedYieldExactBatchDefault s(YieldExactBatchKind::OneAtATime);
+  const ScopedKernelConfig s(&KernelConfig::yield_exact, Kernel::Reference);
   const YieldPlan plan(tech(), surrogate(), options);
   EXPECT_NE(plan.fingerprint(), lane_fp);
   // Same options, same journal — but the journal was recorded under the

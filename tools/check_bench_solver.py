@@ -16,10 +16,6 @@ and fails (exit 1) when any perf invariant regresses:
     hold-SNM ladder and DRV extraction;
   * the vectorized MOSFET lane kernel must stay at least
     MIN_SIMD_LANE_SPEEDUP x the scalar-lane throughput;
-  * the sparse-LU vector MAC must stay at least the backend-aware MAC
-    floor over the flat scalar refactor program on the wide-banded bench
-    pattern — see MAC_FLOOR_BY_BACKEND for the per-ISA floors and the
-    rationale for each;
   * the lockstep batched transient engine must stay at least
     MIN_BATCHED_SPEEDUP x faster than the serial per-defect path.
 
@@ -34,7 +30,6 @@ context (stamped by bench_solver_perf's main from NDEBUG) and it must say
 and only warrants a warning.
 
 Usage: check_bench_solver.py [BENCH_solver.json]
-       check_bench_solver.py --selftest   # exercise the floor-map logic
 """
 import json
 import sys
@@ -48,65 +43,6 @@ MIN_BATCHED_SPEEDUP = 3.0
 # four lanes per instruction; 2.0 leaves room for the vexp polynomial doing
 # more raw work per element than libm's table-driven exp.
 MIN_SIMD_LANE_SPEEDUP = 2.0
-
-# Floor on scalar/SIMD time for the sparse-LU MAC refactor, per reported SIMD
-# backend. The bench matrix is wide-banded so the vector path is actually
-# exercised (narrow bands fall back to the scalar program at analysis time).
-#
-#   avx2 / neon — the scalar program's indexed `dst[m] -= f * src[m]` loop
-#     cannot be auto-vectorized (no scatter store on these ISAs), so the
-#     explicit run-compiled path carries a real ~1.9x win; 1.3 guards it.
-#   avx512 — GCC vectorizes that same indexed loop with vscatterdpd and
-#     legitimately closes the gap to ~1.0x, so the gate degrades to a
-#     no-regression guard: the explicit path must never be materially slower
-#     than the compiler-vectorized oracle.
-#   scalar — an -DLPSRAM_SIMD=off build lowers the "vector" MAC to the same
-#     scalar arithmetic; the gate is a pure parity guard against the explicit
-#     path picking up abstraction overhead.
-#
-# Unknown backends (a future ISA port) get DEFAULT_MAC_FLOOR: a new backend
-# must demonstrate a genuine vector win or add a justified entry here.
-MAC_FLOOR_BY_BACKEND = {
-    "avx2": 1.3,
-    "neon": 1.3,
-    "avx512": 0.95,
-    "scalar": 0.95,
-}
-DEFAULT_MAC_FLOOR = 1.3
-
-
-def mac_floor(backend):
-    """Sparse-LU MAC gate floor for a reported SIMD backend string."""
-    return MAC_FLOOR_BY_BACKEND.get(backend, DEFAULT_MAC_FLOOR)
-
-
-def selftest():
-    """Unit-style checks of the floor map; exits nonzero on the first failure.
-
-    Run by CI before any gating so a bad edit to the table (typo'd backend
-    key, zero floor, accidentally demoted default) fails loudly even on hosts
-    whose own backend would never consult the broken entry.
-    """
-    checks = [
-        ("avx2 carries the full vector-win floor", mac_floor("avx2") == 1.3),
-        ("neon carries the full vector-win floor", mac_floor("neon") == 1.3),
-        ("avx512 degrades to a no-regression guard",
-         mac_floor("avx512") == 0.95),
-        ("scalar fallback is a parity guard", mac_floor("scalar") == 0.95),
-        ("unknown backends get the strict default",
-         mac_floor("riscv-vector") == DEFAULT_MAC_FLOOR),
-        ("every floor demands near-parity or better",
-         all(f >= 0.95 for f in MAC_FLOOR_BY_BACKEND.values())),
-        ("no-regression guards never exceed the win floors",
-         all(f <= DEFAULT_MAC_FLOOR for f in MAC_FLOOR_BY_BACKEND.values())),
-        ("default demands a genuine vector win", DEFAULT_MAC_FLOOR > 1.0),
-    ]
-    failed = [label for label, ok in checks if not ok]
-    for label in failed:
-        print(f"SELFTEST FAIL: {label}", file=sys.stderr)
-    if not failed:
-        print(f"selftest OK: {len(checks)} checks on the MAC floor map")
-    return 1 if failed else 0
 
 # Every name a gate below reads. Checked for presence before any gating so
 # a renamed/dropped benchmark fails with a full list instead of passing
@@ -122,8 +58,6 @@ GATED_BENCHMARKS = (
     "BM_DrvExtractionBatched",
     "BM_MosfetEvalLanesScalar",
     "BM_MosfetEvalLanesSimd",
-    "BM_SparseLuMacScalar",
-    "BM_SparseLuMacSimd",
     "BM_DefectTransientsSerial",
     "BM_DefectTransientsLockstep",
 )
@@ -166,8 +100,6 @@ def check_build_type(context):
 
 
 def main(argv):
-    if len(argv) > 1 and argv[1] == "--selftest":
-        return selftest()
     path = argv[1] if len(argv) > 1 else "BENCH_solver.json"
     with open(path) as f:
         report = json.load(f)
@@ -231,21 +163,6 @@ def main(argv):
         failed = True
     else:
         print(f"OK: SIMD MOSFET lanes hold >= {MIN_SIMD_LANE_SPEEDUP:.1f}x")
-
-    mac_scalar = real_time_ns(benchmarks, "BM_SparseLuMacScalar")
-    mac_simd = real_time_ns(benchmarks, "BM_SparseLuMacSimd")
-    mac_speedup = mac_scalar / mac_simd
-    floor = mac_floor(backend)
-    print(f"sparse-LU MAC: scalar {mac_scalar:12.0f} ns   simd "
-          f"{mac_simd:12.0f} ns   speedup {mac_speedup:5.2f}x "
-          f"(floor {floor:.2f}x on {backend})")
-    if mac_speedup < floor:
-        print(f"FAIL: SIMD sparse-LU refactor is only {mac_speedup:.2f}x the "
-              f"scalar program (floor {floor:.2f}x on backend "
-              f"'{backend}')", file=sys.stderr)
-        failed = True
-    else:
-        print(f"OK: SIMD sparse-LU refactor holds >= {floor:.2f}x")
 
     serial = real_time_ns(benchmarks, "BM_DefectTransientsSerial")
     lockstep = real_time_ns(benchmarks, "BM_DefectTransientsLockstep")
