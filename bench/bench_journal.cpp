@@ -3,9 +3,8 @@
 //
 // The append path fsyncs every record by contract, so the append number is
 // dominated by the storage stack, not the framing — which is the point: it
-// bounds how much sweep throughput journaling can cost. Record shape mimics
-// a real campaign mix (task_done payloads with telemetry plus op_point
-// records carrying a ~40-node operating point).
+// bounds how much sweep throughput journaling can cost. The records are what
+// a campaign writes: one task_done per task, its payload carrying telemetry.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -39,19 +38,6 @@ std::vector<std::uint8_t> task_done_payload(std::uint64_t key) {
   return out.take();
 }
 
-std::vector<std::uint8_t> op_point_payload(std::uint64_t key, double r) {
-  PayloadWriter out;
-  out.u64(0x1122334455667788ULL);  // circuit
-  out.u64(key);
-  out.u32(16);
-  out.f64(r);
-  std::vector<double> x(40);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = 0.7 + 1e-3 * static_cast<double>(i);
-  out.vec_f64(x);
-  return out.take();
-}
-
 }  // namespace
 
 int main() {
@@ -61,26 +47,19 @@ int main() {
           .string();
   std::filesystem::remove(path);
 
-  constexpr int kTasks = 200;
-  constexpr int kOpPointsPerTask = 8;
-  constexpr int kRecords = kTasks * (1 + kOpPointsPerTask);
+  constexpr int kRecords = 1000;
 
-  // Append: the campaign-mix record stream, every record flushed + fsync'd.
+  // Append: the campaign's record stream, every record flushed + fsync'd.
   std::uint64_t bytes = 0;
   {
     JournalWriter writer;
     writer.open(path, 0);
     const auto start = std::chrono::steady_clock::now();
-    for (int t = 0; t < kTasks; ++t) {
-      const std::uint64_t key = 0x1000 + static_cast<std::uint64_t>(t);
-      for (int p = 0; p < kOpPointsPerTask; ++p) {
-        const auto payload = op_point_payload(key, 1e4 * (p + 1));
-        bytes += payload.size() + 9;
-        writer.append(3, payload);
-      }
-      const auto payload = task_done_payload(key);
+    for (int t = 0; t < kRecords; ++t) {
+      const auto payload =
+          task_done_payload(0x1000 + static_cast<std::uint64_t>(t));
       bytes += payload.size() + 9;
-      writer.append(2, payload);
+      writer.append(kRecordTaskDone, payload);
     }
     const double elapsed = seconds_since(start);
     std::printf("append : %6d records, %7.2f MB in %6.3f s  -> %8.0f rec/s, "

@@ -10,7 +10,8 @@ namespace {
 
 // Manifest payload: [u64 salt][u64 fingerprint].
 // TaskDone payload: [u64 task_key][driver bytes...].
-// OpPoint payload:  [u64 circuit][u64 task][u32 defect][f64 r][vec x].
+// OpPoint payload:  [u64 circuit][u64 task][u32 defect][f64 r][vec x]
+//                   (legacy journals only; never written).
 
 JournalRecord manifest_record(std::uint64_t salt, std::uint64_t fingerprint) {
   PayloadWriter out;
@@ -30,35 +31,24 @@ void append_manifests(
     records.push_back(manifest_record(salt, manifests.at(salt)));
 }
 
-// The records committing one task: its operating points, then TaskDone —
-// replay treats the TaskDone record as the commit point, so a crash anywhere
-// in this sequence just re-runs the task.
-void append_task(std::vector<JournalRecord>& records, std::uint64_t key,
-                 const ShardTask& task) {
-  for (const ShardOpPoint& op : task.ops) {
-    PayloadWriter out;
-    out.u64(op.key.circuit);
-    out.u64(op.key.task);
-    out.u32(static_cast<std::uint32_t>(op.key.defect));
-    out.f64(op.r);
-    out.vec_f64(op.x);
-    records.push_back(JournalRecord{kRecordOpPoint, out.take()});
-  }
+// The one record committing a task. A legacy task's operating points are
+// not carried over.
+JournalRecord task_record(std::uint64_t key,
+                          const std::vector<std::uint8_t>& payload) {
   PayloadWriter done;
   done.u64(key);
   std::vector<std::uint8_t> bytes = done.take();
-  bytes.insert(bytes.end(), task.payload.begin(), task.payload.end());
-  records.push_back(JournalRecord{kRecordTaskDone, std::move(bytes)});
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return JournalRecord{kRecordTaskDone, std::move(bytes)};
 }
 
 ShardSnapshot snapshot_of(const JournalReplay& replay) {
   ShardSnapshot snapshot;
   snapshot.torn_tail = replay.torn_tail;
 
-  // Op points buffer until their task's TaskDone commit record arrives;
-  // points whose commit was lost to a torn tail are dropped with the task
-  // (seeding them would change the re-run task's solve sequence and break
-  // resume determinism).
+  // A legacy journal's op points buffer until their task's TaskDone commit
+  // record arrives; points whose commit was lost to a torn tail are dropped
+  // with the task.
   std::unordered_map<std::uint64_t, std::vector<ShardOpPoint>> pending_ops;
   for (const JournalRecord& record : replay.records) {
     PayloadReader in(record.payload);
@@ -136,34 +126,9 @@ const std::vector<std::uint8_t>* Campaign::find_result(
 void Campaign::record_result(std::uint64_t task_key,
                              const std::vector<std::uint8_t>& payload) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto ops = pending_ops_.find(task_key);
-  ShardTask committed{payload, {}};
-  if (ops != pending_ops_.end()) committed.ops = std::move(ops->second);
-  std::vector<JournalRecord> records;
-  append_task(records, task_key, committed);
-  for (const JournalRecord& record : records)
-    writer_.append(record.type, record.payload);
-
-  // As on replay, a task recorded again without new operating points keeps
-  // the ones committed with it before.
-  ShardTask& task = state_.tasks[task_key];
-  task.payload = std::move(committed.payload);
-  if (ops != pending_ops_.end()) {
-    task.ops = std::move(committed.ops);
-    pending_ops_.erase(ops);
-  }
-}
-
-void Campaign::seed_cache(SolveCache& cache) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, task] : state_.tasks)
-    for (const ShardOpPoint& op : task.ops) cache.store(op.key, op.r, op.x);
-}
-
-void Campaign::note_op_point(const SolveCacheKey& key, double r,
-                             const std::vector<double>& x) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  pending_ops_[key.task].push_back(ShardOpPoint{key, r, x});
+  const JournalRecord record = task_record(task_key, payload);
+  writer_.append(record.type, record.payload);
+  state_.tasks[task_key].payload = payload;
 }
 
 void Campaign::compact() {
@@ -174,7 +139,7 @@ void Campaign::compact() {
   for (const auto& [key, task] : state_.tasks) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   for (const std::uint64_t key : keys)
-    append_task(records, key, state_.tasks.at(key));
+    records.push_back(task_record(key, state_.tasks.at(key).payload));
   writer_.compact(records);
 }
 
@@ -248,7 +213,7 @@ std::size_t merge_shard_journals(
       throw InvalidArgument("merge: task key " + std::to_string(key) +
                             " is in no shard journal — the campaign is not "
                             "complete, merge refused");
-    append_task(records, key, *it->second);
+    records.push_back(task_record(key, it->second->payload));
   }
 
   // Atomic publication: the merged journal appears all at once or not at

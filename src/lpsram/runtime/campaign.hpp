@@ -1,6 +1,6 @@
 // Crash-resumable campaign layer over SweepExecutor + the journal.
 //
-// A Campaign owns one journal file and exposes three things to the sweep
+// A Campaign owns one journal file and exposes two things to the sweep
 // runner (runtime/sweep.hpp):
 //   * bind_sweep(salt, fingerprint) — registers a sweep's configuration
 //     under its task-key salt; resuming against a journal recorded with a
@@ -8,18 +8,19 @@
 //     refused instead of silently mixing results.
 //   * find_result / record_result — each finished task's payload, journaled
 //     as the task finishes and replayed by key on resume.
-//   * seed_cache(...) / operating-point journaling — completed tasks'
-//     DC operating points are journaled with them, and on resume they are
-//     seeded back into the SolveCache so surviving tasks keep their warm
-//     starts.
 //
-// Resume determinism contract: because SolveCache keys are task-scoped and
-// operating points are only journaled together with their task's completion
-// record, a resumed run re-executes pending tasks with exactly the solve
-// sequence they would have seen in the uninterrupted run — final tables and
-// deterministic telemetry counters are bit-identical. (Timings, and the
-// `last` outcome snapshot, are excluded from the contract; replayed tasks
-// report zero wall-clock.)
+// Resume determinism contract: a journaled task is replayed from its
+// payload, never re-run, and a pending task re-runs from scratch with
+// nothing of the interrupted run carried over — SolveCache keys are
+// task-scoped, so it sees exactly the solve sequence it would have seen in
+// the uninterrupted run. Final tables and deterministic telemetry counters
+// are bit-identical. (Timings, and the `last` outcome snapshot, are excluded
+// from the contract; replayed tasks report zero wall-clock.)
+//
+// Older journals also hold, as record type 3, the DC operating points each
+// task's solve cache stored. No resume could use them: they belong to
+// committed tasks, which are replayed, never re-run. They are decoded for
+// inspection only, and compaction and merge drop them.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,9 @@ namespace lpsram {
 // Journal record types used by the campaign layer.
 inline constexpr std::uint8_t kRecordManifest = 1;   // salt + config fingerprint
 inline constexpr std::uint8_t kRecordTaskDone = 2;   // task key + driver payload
-inline constexpr std::uint8_t kRecordOpPoint = 3;    // cached operating point
+inline constexpr std::uint8_t kRecordOpPoint = 3;    // legacy, read-only
 
-// One journaled operating point, verbatim.
+// One operating point from a legacy journal, verbatim.
 struct ShardOpPoint {
   SolveCacheKey key;
   double r = 0.0;
@@ -47,7 +48,7 @@ struct ShardOpPoint {
 };
 
 // One completed task recovered from a journal: the journaled result payload
-// plus the operating points committed with it.
+// plus, for a legacy journal, the operating points committed with it.
 struct ShardTask {
   std::vector<std::uint8_t> payload;
   std::vector<ShardOpPoint> ops;
@@ -85,25 +86,13 @@ class Campaign {
   // completed. The last record wins if a task was somehow journaled twice.
   const std::vector<std::uint8_t>* find_result(std::uint64_t task_key) const;
 
-  // Appends a task's result: first any operating points buffered for it via
-  // the store listener, then the TaskDone record. Thread-safe.
+  // Appends a task's TaskDone record. Thread-safe.
   void record_result(std::uint64_t task_key,
                      const std::vector<std::uint8_t>& payload);
 
-  // Seeds replayed operating points into `cache`. Only points belonging to
-  // a *completed* task are seeded (points whose TaskDone record was lost to
-  // a torn tail are dropped — their task re-runs from scratch, preserving
-  // determinism).
-  void seed_cache(SolveCache& cache) const;
-
-  // Buffers an operating point for journaling with its task's completion
-  // record (wired to SolveCache::set_store_listener by SweepRunner).
-  void note_op_point(const SolveCacheKey& key, double r,
-                     const std::vector<double>& x);
-
   // Rewrites the journal as a compact snapshot: manifests, then each
-  // completed task's operating points followed by its TaskDone record, in
-  // sorted task-key order. Atomic (write-temp + flush + rename).
+  // completed task's TaskDone record, in sorted task-key order. Atomic
+  // (write-temp + flush + rename).
   void compact();
 
   const std::string& path() const noexcept { return writer_.path(); }
@@ -118,8 +107,6 @@ class Campaign {
   JournalWriter writer_;
   // Manifests and completed tasks, replayed and recorded alike.
   ShardSnapshot state_;
-  // Points buffered by note_op_point for tasks still in flight.
-  std::unordered_map<std::uint64_t, std::vector<ShardOpPoint>> pending_ops_;
 };
 
 // ---------------------------------------------------------------------------

@@ -743,7 +743,7 @@ class NetServer {
         return true;
       }
       default:
-        return true;  // operating points etc. ride along in the bytes
+        return true;  // unknown or legacy records ride along in the bytes
     }
   }
 

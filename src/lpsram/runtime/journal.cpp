@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -267,7 +268,9 @@ void JournalWriter::flush_hard() {
   if (std::fflush(file_) != 0)
     throw JournalCorrupt("journal '" + path_ + "': flush failed");
 #ifdef LPSRAM_HAVE_FSYNC
-  ::fsync(::fileno(file_));
+  if (::fsync(::fileno(file_)) != 0)
+    throw JournalCorrupt("journal '" + path_ +
+                         "': fsync failed: " + std::strerror(errno));
 #endif
 }
 

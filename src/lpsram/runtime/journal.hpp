@@ -12,6 +12,8 @@
 //   * Every append is flushed (and fsync'd where available) before the
 //     call returns — after a crash the file contains every record whose
 //     append completed, plus at most one torn (partially written) record.
+//     A failed flush or fsync throws JournalCorrupt: the record is not
+//     known to be durable.
 //   * Replay truncates a torn tail silently: a crash mid-append loses only
 //     the record being written, never a completed one.
 //   * Any damage BEFORE the tail — a bad checksum, an impossible length, a

@@ -235,19 +235,6 @@ void SolveCache::store(const SolveCacheKey& key, double r,
       stores_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Notify outside the shard lock so a journaling listener never serializes
-  // unrelated shards behind file I/O.
-  StoreListener listener;
-  {
-    const std::lock_guard<std::mutex> lock(listener_mutex_);
-    listener = listener_;
-  }
-  if (listener) listener(key, r, x);
-}
-
-void SolveCache::set_store_listener(StoreListener listener) {
-  const std::lock_guard<std::mutex> lock(listener_mutex_);
-  listener_ = std::move(listener);
 }
 
 void SolveCache::clear() {

@@ -171,16 +171,6 @@ class SolveCache {
   // present.
   void store(const SolveCacheKey& key, double r, const std::vector<double>& x);
 
-  // Observer invoked after every store() (outside the shard lock). The
-  // campaign runtime uses it to journal operating points as tasks solve
-  // them; seeding (Campaign::seed_cache) happens before a listener is
-  // attached, so replayed points are never re-journaled. Must be
-  // thread-safe: stores happen concurrently from sweep workers. Pass
-  // nullptr to detach.
-  using StoreListener = std::function<void(
-      const SolveCacheKey& key, double r, const std::vector<double>& x)>;
-  void set_store_listener(StoreListener listener);
-
   void clear();
   std::size_t size() const;  // total entries across all keys
 
@@ -209,8 +199,6 @@ class SolveCache {
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
-  mutable std::mutex listener_mutex_;
-  StoreListener listener_;
 };
 
 // ---------------------------------------------------------------------------

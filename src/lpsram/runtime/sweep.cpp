@@ -96,18 +96,10 @@ SweepRun SweepRunner::run(const SweepPlan& plan, Campaign* campaign) {
       pending.push_back(i);
   }
 
-  // Warm starts for surviving tasks come back before any new store can be
-  // confused with a replayed one: seed first, then attach the listener. The
-  // cache dies with the run, so no later sweep journals into this campaign.
+  // The cache lives for this run only and is never journaled: its keys are
+  // task-scoped, so nothing in it could warm a task on resume.
   SolveCache cache;
   SolveCache* task_cache = plan.solve_cache ? &cache : nullptr;
-  if (campaign && task_cache) {
-    campaign->seed_cache(cache);
-    cache.set_store_listener([campaign](const SolveCacheKey& key, double r,
-                                        const std::vector<double>& x) {
-      campaign->note_op_point(key, r, x);
-    });
-  }
 
   executor_.run(pending.size(), [&](std::size_t j, int worker) {
     SweepTask task;

@@ -7,9 +7,9 @@
 // the manifest with the kernel kinds folded in, replays journaled tasks, runs
 // the others on its executor (one ScopedTaskObserver per task, a cancel poll
 // at each start), times them, quarantines a failing task when the plan
-// allows, journals each payload with the operating points its task cached,
-// and totals the SweepTelemetry. Fresh and replayed payloads are decoded by
-// the same code, so a resumed run reduces exactly as an uninterrupted one.
+// allows, journals each payload, and totals the SweepTelemetry. Fresh and
+// replayed payloads are decoded by the same code, so a resumed run reduces
+// exactly as an uninterrupted one.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +66,7 @@ struct SweepPlan {
   bool quarantine = false;  // record a task's Error instead of rethrowing it
   const CancelToken* cancel = nullptr;  // polled at each task's start
   const char* cancel_label = "sweep";
-  // Hand tasks a SolveCache, seeded from and journaled to the campaign.
+  // Hand tasks a SolveCache that lives for the run (never journaled).
   bool solve_cache = false;
 };
 

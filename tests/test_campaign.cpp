@@ -1,8 +1,9 @@
 // Durable-campaign suite: the kill-replay harness (crash a journaled sweep
 // at record boundaries with injected journal kills, resume it, and demand
 // final tables bit-identical to the uninterrupted run — at 1 and 8 threads,
-// under chaos fault injection), manifest mismatch refusal, operating-point
-// seeding semantics, and cooperative cancellation through the solve stack.
+// under chaos fault injection), manifest mismatch refusal, resume of a
+// journal that still holds legacy operating-point records, and cooperative
+// cancellation through the solve stack.
 //
 // Journals are written under ./campaign-journals/ so CI can pick them up as
 // an artifact (and run tools/journal_inspect.py over them) when a
@@ -86,35 +87,11 @@ TEST(Campaign, ManifestMismatchIsRefused) {
   EXPECT_THROW(campaign.bind_sweep(0xABCULL, 999), InvalidArgument);
 }
 
-TEST(Campaign, OpPointsSeedOnlyForCompletedTasks) {
-  const std::string path = journal_path("unit_oppoints.journal");
-  const SolveCacheKey done_key{/*circuit=*/10, /*task=*/100, /*defect=*/16};
-  const SolveCacheKey lost_key{/*circuit=*/10, /*task=*/200, /*defect=*/16};
-  {
-    Campaign campaign(path);
-    campaign.note_op_point(done_key, 1e6, {0.5, 0.25});
-    campaign.record_result(100, {1});  // commit point for task 100
-    // Task 200 buffers a point but never completes (crash before TaskDone).
-    campaign.note_op_point(lost_key, 2e6, {0.75});
-  }
-  Campaign campaign(path);
-  SolveCache cache;
-  campaign.seed_cache(cache);
-  std::vector<double> x;
-  EXPECT_TRUE(cache.lookup_nearest(done_key, 1e6, &x));
-  EXPECT_EQ(x, (std::vector<double>{0.5, 0.25}));
-  // The uncommitted task's point must NOT seed: its task re-runs from
-  // scratch, exactly as in the uninterrupted run.
-  x.clear();
-  EXPECT_FALSE(cache.lookup_nearest(lost_key, 2e6, &x));
-}
-
 TEST(Campaign, CompactionPreservesResultsAndManifests) {
   const std::string path = journal_path("unit_compact.journal");
   {
     Campaign campaign(path);
     campaign.bind_sweep(0xABCULL, 111);
-    campaign.note_op_point({1, 100, 16}, 1e6, {0.5});
     campaign.record_result(100, {1});
     campaign.record_result(100, {2});  // superseded: compaction keeps last
     campaign.record_result(200, {3});
@@ -126,10 +103,6 @@ TEST(Campaign, CompactionPreservesResultsAndManifests) {
   ASSERT_NE(campaign.find_result(100), nullptr);
   EXPECT_EQ(*campaign.find_result(100), std::vector<std::uint8_t>{2});
   EXPECT_NO_THROW(campaign.bind_sweep(0xABCULL, 111));
-  SolveCache cache;
-  campaign.seed_cache(cache);
-  std::vector<double> x;
-  EXPECT_TRUE(cache.lookup_nearest({1, 100, 16}, 1e6, &x));
 }
 
 // ---------- kill-replay harness ---------------------------------------------
@@ -245,69 +218,138 @@ std::vector<CellFingerprint> kill_and_resume(const std::string& path,
   return run_slice(threads, solve_cache, &campaign);
 }
 
+// Kills the slice at every journal append in turn, resuming each time, until
+// a run completes crash-free; returns that first crash-free boundary.
+std::uint64_t kill_at_every_boundary(
+    const std::string& path, int threads, bool solve_cache,
+    const std::vector<CellFingerprint>& golden) {
+  bool killed = true;
+  std::uint64_t boundary = 1;
+  for (; killed; ++boundary) {
+    SCOPED_TRACE(std::to_string(threads) + " threads, killed at append " +
+                 std::to_string(boundary));
+    EXPECT_EQ(kill_and_resume(path, threads, solve_cache, boundary, &killed),
+              golden);
+  }
+  return boundary - 1;
+}
+
 TEST(KillReplay, EveryRecordBoundarySingleThreaded) {
   const auto golden = run_slice(1, /*solve_cache=*/false, nullptr);
   const std::string path = journal_path("killreplay_t1.journal");
 
   // Cache off, the journal is manifest + one TaskDone per (defect x CS x
   // PVT) task — few enough to kill at EVERY boundary (and one past the end,
-  // proving the harness also passes crash-free).
-  bool killed = true;
-  std::uint64_t boundary = 1;
-  for (; killed; ++boundary) {
-    SCOPED_TRACE("killed at append " + std::to_string(boundary));
-    const auto resumed =
-        kill_and_resume(path, 1, false, boundary, &killed);
-    EXPECT_EQ(resumed, golden);
-  }
-  // The slice is 4 tasks: manifest + 4 TaskDone records = 5 appends, so the
-  // first crash-free boundary is 6. Guards against the harness silently
-  // degenerating (e.g. journaling nothing and "resuming" by recomputing).
-  EXPECT_EQ(boundary - 1, 6u);
+  // proving the harness also passes crash-free). The slice is 4 tasks:
+  // manifest + 4 TaskDone records = 5 appends, so the first crash-free
+  // boundary is 6. Guards against the harness silently degenerating (e.g.
+  // journaling nothing and "resuming" by recomputing).
+  EXPECT_EQ(kill_at_every_boundary(path, 1, false, golden), 6u);
   EXPECT_EQ(journal_record_count(path), 5u);
 }
 
 TEST(KillReplay, EveryRecordBoundaryEightThreads) {
   const auto golden = run_slice(1, false, nullptr);
   const std::string path = journal_path("killreplay_t8.journal");
-
-  bool killed = true;
-  for (std::uint64_t boundary = 1; killed; ++boundary) {
-    SCOPED_TRACE("killed at append " + std::to_string(boundary));
-    // Which tasks survive the kill is scheduling-dependent at 8 threads;
-    // the resumed tables must be bit-identical regardless.
-    const auto resumed = kill_and_resume(path, 8, false, boundary, &killed);
-    EXPECT_EQ(resumed, golden);
-  }
+  // Which tasks survive the kill is scheduling-dependent at 8 threads; the
+  // resumed tables must be bit-identical regardless.
+  kill_at_every_boundary(path, 8, false, golden);
 }
 
 TEST(KillReplay, SampledBoundariesWithWarmStartCache) {
   const auto golden = run_slice(1, /*solve_cache=*/true, nullptr);
   const std::string path = journal_path("killreplay_cache.journal");
 
-  // With the cache on, every stored operating point is journaled too, so a
-  // full run has hundreds of appends. Kill at sampled boundaries spread
-  // across the run (plus both ends) rather than every single one.
+  // The solve cache is never journaled, so with it on the journal is still
+  // the manifest plus one TaskDone per task: kill at every boundary, at 1
+  // and at 8 threads, exactly as with the cache off.
+  for (const int threads : {1, 8}) {
+    EXPECT_EQ(kill_at_every_boundary(path, threads, true, golden), 6u);
+    EXPECT_EQ(journal_record_count(path), 5u);
+  }
+}
+
+// A legacy journal holds a type-3 operating-point record for every point a
+// task's solve cache stored, each before its task's TaskDone. Such a journal
+// must still resume: its committed tasks replay and none re-runs, and
+// compaction and merge drop its points.
+TEST(KillReplay, JournalWithLegacyOpPointsResumes) {
+  const auto golden = run_slice(1, /*solve_cache=*/true, nullptr);
+  const std::string path = journal_path("killreplay_legacy_ops.journal");
+  {
+    Campaign campaign(path);
+    ASSERT_EQ(run_slice(1, true, &campaign), golden);
+  }
+
+  // Rewrite it in the legacy layout: two points before each TaskDone, and
+  // one point of a task whose TaskDone never made it to disk at the tail.
+  const auto op_point = [](std::uint64_t task, double r) {
+    PayloadWriter out;
+    out.u64(/*circuit=*/0x5eed);
+    out.u64(task);
+    out.u32(/*defect=*/16);
+    out.f64(r);
+    out.vec_f64({0.7, 0.35, r * 1e-9});
+    return JournalRecord{kRecordOpPoint, out.take()};
+  };
+  constexpr std::uint64_t kUncommitted = 0xdeadbeefULL;
+  std::vector<std::uint64_t> keys;  // TaskDone order
+  std::vector<JournalRecord> legacy;
+  for (JournalRecord& record : replay_journal(path).records) {
+    if (record.type == kRecordTaskDone) {
+      keys.push_back(PayloadReader(record.payload).u64());
+      legacy.push_back(op_point(keys.back(), 1e3));
+      legacy.push_back(op_point(keys.back(), 1e6));
+    }
+    legacy.push_back(std::move(record));
+  }
+  legacy.push_back(op_point(kUncommitted, 2e6));
+  {
+    JournalWriter writer;
+    writer.open(path, 0);
+    for (const JournalRecord& record : legacy)
+      writer.append(record.type, record.payload);
+  }
+  ASSERT_EQ(keys.size(), 4u);
+  ASSERT_EQ(journal_record_count(path), 14u);
+
+  // The resume replays every task and appends nothing, so no task re-ran.
   {
     Campaign campaign(path);
     EXPECT_EQ(run_slice(1, true, &campaign), golden);
   }
-  const std::size_t total = journal_record_count(path);
-  ASSERT_GT(total, 10u);  // op points actually journaled
+  EXPECT_EQ(journal_record_count(path), 14u);
 
-  for (const double frac : {0.0, 0.1, 0.35, 0.6, 0.85, 0.99}) {
-    const std::uint64_t boundary =
-        1 + static_cast<std::uint64_t>(frac * static_cast<double>(total - 1));
-    SCOPED_TRACE("killed at append " + std::to_string(boundary) + " of ~" +
-                 std::to_string(total));
-    bool killed = false;
-    EXPECT_EQ(kill_and_resume(path, 1, true, boundary, &killed), golden);
-    EXPECT_TRUE(killed);
+  // The snapshot shows the committed points only, each with its own task.
+  const ShardSnapshot snapshot = read_campaign_snapshot(path);
+  ASSERT_EQ(snapshot.tasks.size(), 4u);
+  EXPECT_EQ(snapshot.tasks.count(kUncommitted), 0u);
+  for (const std::uint64_t key : keys) {
+    const ShardTask& task = snapshot.tasks.at(key);
+    ASSERT_EQ(task.ops.size(), 2u);
+    for (const ShardOpPoint& op : task.ops) EXPECT_EQ(op.key.task, key);
   }
-  // And once at 8 threads, mid-run.
-  bool killed = false;
-  EXPECT_EQ(kill_and_resume(path, 8, true, total / 2, &killed), golden);
-  EXPECT_TRUE(killed);
+
+  // Compaction and merge write no type-3 record, and both results resume.
+  const auto has_op_point = [](const std::string& journal) {
+    for (const JournalRecord& record : replay_journal(journal).records)
+      if (record.type == kRecordOpPoint) return true;
+    return false;
+  };
+  const std::string merged = journal_path("killreplay_legacy_merged.journal");
+  EXPECT_EQ(merge_shard_journals(merged, {path}, keys), 4u);
+  {
+    Campaign campaign(path);
+    campaign.compact();
+  }
+  for (const std::string& journal : {path, merged}) {
+    SCOPED_TRACE(journal);
+    EXPECT_FALSE(has_op_point(journal));
+    EXPECT_EQ(journal_record_count(journal), 5u);
+    Campaign campaign(journal);
+    EXPECT_EQ(run_slice(1, true, &campaign), golden);
+    EXPECT_EQ(journal_record_count(journal), 5u);
+  }
 }
 
 TEST(KillReplay, CompletedJournalReplaysWithoutRecompute) {

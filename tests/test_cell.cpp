@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "lpsram/cell/drv.hpp"
 #include "lpsram/cell/flip_time.hpp"
@@ -199,6 +200,13 @@ struct AdverseCase {
   CellTransistor transistor;
   double sigma;  // adverse direction for DRV_DS1
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included, and
+// ctest names each case after that print: "MPcc1 -4 sigma" is stable.
+void PrintTo(const AdverseCase& c, std::ostream* os) {
+  *os << cell_transistor_name(c.transistor) << ' ' << std::showpos << c.sigma
+      << std::noshowpos << " sigma";
+}
 
 class AdverseDirectionTest : public ::testing::TestWithParam<AdverseCase> {};
 

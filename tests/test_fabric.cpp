@@ -214,16 +214,35 @@ TEST(AdmissionQueue, PopTimesOutWhenEmpty) {
 
 // ---------- Shard snapshots and merge ---------------------------------------
 
+// Campaign writes no operating-point records, so the legacy ones are written
+// raw here: the snapshot decodes them, keeping only the committed task's.
 TEST(Merge, SnapshotReadsTasksOpsAndManifests) {
   const std::string dir = fabric_dir("snapshot");
   const std::string path = dir + "/shard.journal";
+  const auto op_point = [](std::uint64_t task, double r,
+                           const std::vector<double>& x) {
+    PayloadWriter out;
+    out.u64(/*circuit=*/5);
+    out.u64(task);
+    out.u32(/*defect=*/3);
+    out.f64(r);
+    out.vec_f64(x);
+    return out.take();
+  };
   {
-    Campaign shard(path);
-    shard.bind_sweep(0xABC, 111);
-    shard.note_op_point({/*circuit=*/5, /*task=*/100, /*defect=*/3}, 1e6,
-                        {0.5, 0.25});
-    shard.record_result(100, {1, 2});
-    shard.note_op_point({5, 200, 3}, 2e6, {0.75});  // never committed
+    PayloadWriter manifest;
+    manifest.u64(0xABC);
+    manifest.u64(111);
+    PayloadWriter done;
+    done.u64(100);
+    done.u8(1);
+    done.u8(2);
+    JournalWriter shard;
+    shard.open(path, 0);
+    shard.append(kRecordManifest, manifest.take());
+    shard.append(kRecordOpPoint, op_point(100, 1e6, {0.5, 0.25}));
+    shard.append(kRecordTaskDone, done.take());
+    shard.append(kRecordOpPoint, op_point(200, 2e6, {0.75}));  // uncommitted
   }
   const ShardSnapshot snapshot = read_campaign_snapshot(path);
   EXPECT_FALSE(snapshot.torn_tail);
@@ -297,26 +316,6 @@ TEST(Merge, RefusesGapsMismatchesAndMixedManifests) {
   EXPECT_THROW(merge_shard_journals(out, {a, c}, {10}), InvalidArgument);
   // Nothing was published by any refused merge.
   EXPECT_FALSE(fs::exists(out));
-}
-
-TEST(Merge, OpPointsSurviveIntoMergedJournal) {
-  const std::string dir = fabric_dir("merge_ops");
-  const std::string a = dir + "/shard-0.journal";
-  const SolveCacheKey key{/*circuit=*/7, /*task=*/10, /*defect=*/4};
-  {
-    Campaign shard(a);
-    shard.bind_sweep(0xABC, 111);
-    shard.note_op_point(key, 1e6, {0.5, 0.25});
-    shard.record_result(10, {1});
-  }
-  const std::string out = dir + "/merged.journal";
-  merge_shard_journals(out, {a}, {10});
-  Campaign merged(out);
-  SolveCache cache;
-  merged.seed_cache(cache);
-  std::vector<double> x;
-  EXPECT_TRUE(cache.lookup_nearest(key, 1e6, &x));
-  EXPECT_EQ(x, (std::vector<double>{0.5, 0.25}));
 }
 
 #ifdef LPSRAM_FABRIC_POSIX

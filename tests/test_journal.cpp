@@ -1,5 +1,6 @@
 // Journal durability suite: record framing, checksum validation, the
-// torn-tail truncation rule, crash injection and snapshot compaction.
+// torn-tail truncation rule, a failed fsync, crash injection and snapshot
+// compaction.
 //
 // The property tests are the heart of it: a recorded journal truncated at
 // EVERY byte offset must replay to exactly the records whose frames fully
@@ -18,6 +19,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "lpsram/runtime/campaign.hpp"
 #include "lpsram/runtime/journal.hpp"
 #include "lpsram/util/error.hpp"
 
@@ -205,6 +207,31 @@ TEST(Journal, ResumeAppendsAfterLastIntactRecord) {
   replay = replay_journal(tmp.path());
   EXPECT_FALSE(replay.torn_tail);
   EXPECT_TRUE(same_records(replay.records, records));
+}
+
+// An append returns only once its record is durable, so an fsync that fails
+// must throw rather than pass for success. fsync on /dev/null fails with
+// EINVAL on Linux, which makes it a failing disk that is always at hand.
+TEST(Journal, FailedFsyncThrowsJournalCorrupt) {
+#ifdef __linux__
+  const auto expect_fsync_failure = [](const auto& body) {
+    try {
+      body();
+      FAIL() << "expected JournalCorrupt from the failed fsync";
+    } catch (const JournalCorrupt& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("/dev/null"), std::string::npos) << what;
+      EXPECT_NE(what.find("fsync failed"), std::string::npos) << what;
+    }
+  };
+  expect_fsync_failure([] {
+    JournalWriter writer;
+    writer.open("/dev/null", 0);
+  });
+  expect_fsync_failure([] { Campaign campaign("/dev/null"); });
+#else
+  GTEST_SKIP() << "relies on fsync(/dev/null) failing, as it does on Linux";
+#endif
 }
 
 // ---------- the truncation property ----------------------------------------

@@ -19,6 +19,10 @@ and fails (exit 1) when any perf invariant regresses:
   * the lockstep batched transient engine must stay at least
     MIN_BATCHED_SPEEDUP x faster than the serial per-defect path.
 
+A benchmark registered with Repetitions(N) (the transient pair is) is
+gated on the median of its repetitions' real times, which the report
+carries as its `median` aggregate; any other on its one measurement.
+
 Every gated benchmark name is checked for presence up front: a missing
 name is a hard failure (a silently skipped gate is a regression vector —
 a renamed or dropped benchmark must fail CI, not pass it by absence).
@@ -32,6 +36,7 @@ and only warrants a warning.
 Usage: check_bench_solver.py [BENCH_solver.json]
 """
 import json
+import re
 import sys
 
 # Floor on scalar/batched for BM_HoldSnm, BM_DrvExtraction and the lockstep
@@ -63,15 +68,25 @@ GATED_BENCHMARKS = (
 )
 
 
+def registered_name(b):
+    """The name a benchmark was registered under: google-benchmark reports
+    one registered with Repetitions(N) as "<name>/repeats:N"."""
+    return re.sub(r"/repeats:\d+$", "", b.get("run_name", b.get("name", "")))
+
+
 def real_time_ns(benchmarks, name):
-    for b in benchmarks:
-        if b.get("name") == name and b.get("run_type", "iteration") != "aggregate":
+    runs = [b for b in benchmarks if registered_name(b) == name]
+    for b in runs:
+        if b.get("aggregate_name") == "median":
+            return float(b["real_time"])
+    for b in runs:
+        if b.get("run_type", "iteration") != "aggregate":
             return float(b["real_time"])
     raise SystemExit(f"error: benchmark '{name}' missing from the report")
 
 
 def check_presence(benchmarks):
-    present = {b.get("name") for b in benchmarks
+    present = {registered_name(b) for b in benchmarks
                if b.get("run_type", "iteration") != "aggregate"}
     missing = [n for n in GATED_BENCHMARKS if n not in present]
     for name in missing:

@@ -34,10 +34,12 @@ import zlib
 MAGIC = b"LPSJRNL1"
 MAX_RECORD_BYTES = 16 << 20  # kJournalMaxRecordBytes
 
+# Type 3 is only found in older journals, which journaled the solve cache's
+# operating points; no writer emits it now and replay never uses it.
 RECORD_NAMES = {
     1: "manifest",
     2: "task_done",
-    3: "op_point",
+    3: "op_point (legacy, ignored)",
 }
 
 
@@ -126,7 +128,7 @@ def describe(rtype, payload):
         if rtype == 2:  # task_done
             key = p.u64()
             return "task=%016x payload=%d bytes" % (key, len(payload) - 8)
-        if rtype == 3:  # op_point
+        if rtype == 3:  # op_point (legacy)
             circuit, task = p.u64(), p.u64()
             defect = p.u32()
             r = p.f64()
