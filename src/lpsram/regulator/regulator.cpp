@@ -6,6 +6,7 @@
 
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/spice/batch_transient.hpp"
+#include "lpsram/spice/hooks.hpp"
 #include "lpsram/util/error.hpp"
 
 namespace lpsram {
@@ -61,6 +62,22 @@ VoltageRegulator::VoltageRegulator(const Technology& tech, Corner corner,
                                    const ArrayLoadModel::Options& load_options) {
   build(tech, corner, load_options);
   apply_mode();
+
+  // Canonical sparse-LU analysis (see canonical_lu_). Regulators are built
+  // inside sweep tasks, so the solve runs with the task's observers
+  // silenced: chaos injection cannot change the analysis. It leaves no warm
+  // start and no telemetry behind.
+  {
+    const ScopedObserverSilence silence;
+    DcOptions dc_options;
+    dc_options.shared_workspace = &newton_ws_;
+    try {
+      DcSolver(netlist_, 25.0, dc_options).solve();
+    } catch (const ConvergenceError&) {
+      // Whatever analysis the failed attempts left is canonical too.
+    }
+  }
+  canonical_lu_ = newton_ws_.lu;
 }
 
 void VoltageRegulator::build(const Technology& tech, Corner corner,

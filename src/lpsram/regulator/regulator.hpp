@@ -106,9 +106,14 @@ class VoltageRegulator {
   // scopes this regulator's lookups to one sweep task so parallel sweeps
   // stay deterministic (see runtime/parallel.hpp). The cache itself is
   // thread-safe; this setter is not.
+  //
+  // Sweep drivers call this at every task start, so it also hands the task
+  // its own sparse-LU state: the pivot order analysed at construction, not
+  // the one earlier tasks on this worker slot left behind.
   void set_solve_cache(SolveCache* cache, std::uint64_t task_key = 0) {
     solve_cache_ = cache;
     cache_task_key_ = task_key;
+    newton_ws_.lu = canonical_lu_;
   }
   SolveCache* solve_cache() const noexcept { return solve_cache_; }
   // Regulated output voltage (VDD_CC) at DC.
@@ -187,6 +192,11 @@ class VoltageRegulator {
   // the symbolic analysis. Guarded by the same single-thread contract as
   // the rest of the mutable solve state.
   mutable NewtonWorkspace newton_ws_;
+  // The sparse LU after one DC solve of the as-built circuit, run with
+  // every solver observer silenced: the canonical pivot order each task
+  // starts from (set_solve_cache), so which rung converges, and every solve
+  // counter, does not depend on the tasks a worker slot ran before.
+  SparseLu canonical_lu_;
   RetryLadderOptions solve_policy_;
   mutable SolveTelemetry telemetry_;
 

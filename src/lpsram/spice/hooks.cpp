@@ -46,4 +46,15 @@ ScopedTaskObserver::~ScopedTaskObserver() {
   // override is lifted, so the merge itself is never observed.
 }
 
+ScopedObserverSilence::ScopedObserverSilence()
+    : saved_observer_(t_task_observer), saved_active_(t_task_override_active) {
+  t_task_observer = nullptr;
+  t_task_override_active = true;
+}
+
+ScopedObserverSilence::~ScopedObserverSilence() {
+  t_task_observer = saved_observer_;
+  t_task_override_active = saved_active_;
+}
+
 }  // namespace lpsram

@@ -162,4 +162,20 @@ class ScopedTaskObserver {
   bool saved_active_ = false;
 };
 
+// RAII: hides every observer, task fork and session observer alike, from
+// this thread for the scope's lifetime. For solves whose result must not
+// depend on the task that happens to run them.
+class ScopedObserverSilence {
+ public:
+  ScopedObserverSilence();
+  ~ScopedObserverSilence();
+
+  ScopedObserverSilence(const ScopedObserverSilence&) = delete;
+  ScopedObserverSilence& operator=(const ScopedObserverSilence&) = delete;
+
+ private:
+  SolverObserver* saved_observer_ = nullptr;
+  bool saved_active_ = false;
+};
+
 }  // namespace lpsram

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "lpsram/runtime/parallel.hpp"
@@ -167,6 +168,21 @@ double DrvSurrogate::map(double score) const {
   const double span = knot_scores_[hi] - knot_scores_[lo];
   const double f = span > 0.0 ? (score - knot_scores_[lo]) / span : 0.0;
   return knot_drvs_[lo] + f * (knot_drvs_[hi] - knot_drvs_[lo]);
+}
+
+double DrvSurrogate::score_threshold(double drv) const {
+  if (knot_scores_.empty()) throw Error("DrvSurrogate: not trained");
+  // A knot within kRoundingSlack of `drv` counts as reaching it: map()
+  // interpolates between knot DRVs with a few ulps of rounding (DRVs are
+  // below 1.3 V, so an ulp is below 3e-16 V), and the slack keeps every
+  // interpolated value strictly under `drv` left of the returned knot.
+  constexpr double kRoundingSlack = 1e-12;
+  const auto reach = std::lower_bound(knot_drvs_.begin(), knot_drvs_.end(),
+                                      drv - kRoundingSlack);
+  if (reach == knot_drvs_.end()) return std::numeric_limits<double>::infinity();
+  if (reach == knot_drvs_.begin())
+    return -std::numeric_limits<double>::infinity();
+  return knot_scores_[static_cast<std::size_t>(reach - knot_drvs_.begin()) - 1];
 }
 
 double DrvSurrogate::predict_drv1(const CellVariation& variation) const {

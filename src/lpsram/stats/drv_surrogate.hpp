@@ -48,6 +48,15 @@ class DrvSurrogate {
   double predict_drv0(const CellVariation& variation) const;
   double predict_drv(const CellVariation& variation) const;
 
+  // The surrogate's gate in score space: every score below
+  // score_threshold(drv) predicts a DRV below `drv`, the rounding of the
+  // interpolation included, so a pattern whose score and mirrored score both
+  // fall below it has predict_drv < drv. The threshold is the score of the
+  // last knot under `drv`, at most one knot interval below the exact
+  // crossing; -inf when the first knot already reaches `drv`, +inf when no
+  // knot does.
+  double score_threshold(double drv) const;
+
   // Fitted direction, in kAllCellTransistors order.
   const std::array<double, 6>& weights() const noexcept { return weights_; }
 

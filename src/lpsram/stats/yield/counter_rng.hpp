@@ -20,6 +20,7 @@
 // engine's thread-count/resume/fabric determinism contracts possible at all.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "lpsram/cell/core_cell.hpp"
@@ -30,8 +31,8 @@ namespace lpsram {
 std::uint64_t counter_u64(std::uint64_t seed, std::uint64_t trial,
                           std::uint64_t cell, std::uint64_t lane) noexcept;
 
-// Uniform draw strictly inside (0, 1) — never 0 or 1, so the inverse-CDF
-// transform below is always finite.
+// Uniform draw strictly inside (0, 1): p >= 2^-54 and 1 - p >= 2^-53, so the
+// inverse-CDF transform below is always finite.
 double counter_uniform(std::uint64_t seed, std::uint64_t trial,
                        std::uint64_t cell, std::uint64_t lane) noexcept;
 
@@ -43,9 +44,38 @@ double normal_cdf(double x) noexcept;
 // Throws InvalidArgument outside (0, 1).
 double normal_quantile(double p);
 
+// normal_quantile in its two stages, for callers that can act on the
+// approximation alone: Acklam's rational approximation (p must lie in
+// (0, 1) and is not checked), and the Halley step that normal_quantile
+// applies to it. normal_quantile(p) equals
+// normal_quantile_polish(normal_quantile_acklam(p), p) bit for bit.
+double normal_quantile_acklam(double p) noexcept;
+double normal_quantile_polish(double x, double p) noexcept;
+
+// Acklam's documented bound on the relative error of the approximation:
+// |normal_quantile_acklam(p) - Phi^-1(p)| < kAcklamRelError * |Phi^-1(p)|.
+inline constexpr double kAcklamRelError = 1.15e-9;
+// Bound on |Phi^-1(p)| over every p that counter_uniform returns
+// (Phi^-1(2^-54) = -8.2924, Phi^-1(1 - 2^-53) = 8.2095).
+inline constexpr double kMaxAbsNormal = 8.3;
+
 // N(0, 1) draw at the given counter coordinates.
 double counter_normal(std::uint64_t seed, std::uint64_t trial,
                       std::uint64_t cell, std::uint64_t lane) noexcept;
+
+// One cell's six uniforms and their unpolished (Acklam) normals, lanes in
+// kAllCellTransistors order. The (seed, trial, cell) prefix of counter_u64
+// is folded once for all six lanes. polished() finishes the draws into
+// exactly the field sample_cell_variation returns.
+struct CellDraws {
+  std::array<double, 6> p{};  // counter_uniform of each lane
+  std::array<double, 6> x{};  // normal_quantile_acklam(p)
+
+  CellVariation polished() const noexcept;
+};
+
+CellDraws draw_cell(std::uint64_t seed, std::uint64_t trial,
+                    std::uint64_t cell) noexcept;
 
 // The six-transistor variation field of one cell, lanes 0..5 in
 // kAllCellTransistors order (sigma units, i.i.d. N(0, 1)).

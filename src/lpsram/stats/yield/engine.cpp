@@ -61,25 +61,32 @@ YieldPlan::YieldPlan(const Technology& tech, const DrvSurrogate& surrogate,
   for (const double v : options_.vreg_grid)
     if (!(v > 0.0) || !std::isfinite(v))
       throw InvalidArgument("YieldPlan: vreg grid points must be positive");
-  if (!(options_.blockade_margin >= 0.0))
-    throw InvalidArgument("YieldPlan: blockade_margin must be >= 0");
+  // A +inf margin would make every cell a candidate: a brute-force run
+  // under the blockade's name.
+  if (!(options_.blockade_margin >= 0.0) ||
+      !std::isfinite(options_.blockade_margin))
+    throw InvalidArgument("YieldPlan: blockade_margin must be finite and >= 0");
+  if (!std::isfinite(options_.temp_c))
+    throw InvalidArgument("YieldPlan: temp_c must be finite");
 
   gate_ = options_.vreg_grid.front() - options_.blockade_margin;
+  skip_below_ = -std::numeric_limits<double>::infinity();
 
   if (options_.mode == YieldMode::ImportanceSampled) {
     if (options_.is_samples < 1)
       throw InvalidArgument("YieldPlan: is_samples must be >= 1");
-    if (!(options_.is_shift >= 0.0))
-      throw InvalidArgument("YieldPlan: is_shift must be >= 0");
+    if (!(options_.is_shift >= 0.0) || !std::isfinite(options_.is_shift))
+      throw InvalidArgument("YieldPlan: is_shift must be finite and >= 0");
     if (!(options_.is_defensive >= 0.0 && options_.is_defensive < 1.0))
       throw InvalidArgument("YieldPlan: is_defensive must be in [0, 1)");
     if (options_.auto_shift) {
       if (options_.pilot_samples < 1)
         throw InvalidArgument("YieldPlan: pilot_samples must be >= 1");
       if (!(options_.pilot_shift_lo >= 0.0) ||
-          !(options_.pilot_shift_hi >= options_.pilot_shift_lo))
+          !(options_.pilot_shift_hi >= options_.pilot_shift_lo) ||
+          !std::isfinite(options_.pilot_shift_hi))
         throw InvalidArgument(
-            "YieldPlan: need 0 <= pilot_shift_lo <= pilot_shift_hi");
+            "YieldPlan: need 0 <= pilot_shift_lo <= pilot_shift_hi < inf");
       if (options_.pilot_steps < 1)
         throw InvalidArgument("YieldPlan: pilot_steps must be >= 1");
     }
@@ -119,6 +126,35 @@ YieldPlan::YieldPlan(const Technology& tech, const DrvSurrogate& surrogate,
         options_.block_cells;
     task_count_ =
         blocks_per_trial_ * static_cast<std::size_t>(options_.trials);
+  }
+
+  if (options_.mode == YieldMode::Blockade) {
+    // The unpolished gate. Pass 1 scores a cell on its Acklam normals x
+    // before the Halley polish turns them into the cell's field v. Per lane
+    // |v - x| <= kAcklamRelError * |v| + 1e-15 (the polish's own rounding
+    // near v = 0), and |x|, |v| <= kMaxAbsNormal. Each of the two 6-term
+    // dot products w . x and w . v rounds by at most
+    // gamma_6 * kMaxAbsNormal * sum |w_i|, gamma_6 = 6u / (1 - 6u),
+    // u = 2^-53. So a score on x sits within
+    //   kMaxAbsNormal * sum |w_i| * (kAcklamRelError + 2 gamma_6)
+    // of the score predict_drv computes on v, up to the 1e-15 per lane
+    // that kSlackSafety covers many times over.
+    constexpr double kSlackSafety = 4.0;
+    constexpr double kUnitRoundoff = 0x1p-53;
+    constexpr double kGamma6 = 6.0 * kUnitRoundoff / (1.0 - 6.0 * kUnitRoundoff);
+    const auto& w = surrogate.weights();
+    CellVariation wv;
+    for (std::size_t i = 0; i < kAllCellTransistors.size(); ++i)
+      wv.set(kAllCellTransistors[i], w[i]);
+    const CellVariation wm = wv.mirrored();
+    double w_abs = 0.0;
+    for (std::size_t i = 0; i < kAllCellTransistors.size(); ++i) {
+      mirror_weights_[i] = wm.get(kAllCellTransistors[i]);
+      w_abs += std::fabs(w[i]);
+    }
+    score_slack_ = kSlackSafety * kMaxAbsNormal * w_abs *
+                   (kAcklamRelError + 2.0 * kGamma6);
+    skip_below_ = surrogate.score_threshold(gate_) - score_slack_;
   }
 }
 
@@ -374,10 +410,18 @@ BlockAccum YieldPlan::sample_block(std::size_t index,
   std::vector<double> drvs(count, 0.0);
   std::vector<CellVariation> staged_v;
   std::vector<std::size_t> staged_pos;
+  // Blockade: the unpolished score of every cell pass 1 settles without
+  // the polish (-inf for the others), and the highest of them.
+  std::vector<double> skipped_score;
+  std::size_t top_skipped = count;
+  const std::array<double, 6>& gate_weights = surrogate_->weights();
+  if (options_.mode == YieldMode::Blockade)
+    skipped_score.assign(count, -std::numeric_limits<double>::infinity());
 
   // Pass 1 — sampling, weights, surrogate gate.
   for (std::size_t s = begin; s < end; ++s) {
     poll_cancel(cancel, "yield block", 0, 0.0);
+    const std::size_t pos = s - begin;
 
     CellVariation v;
     double w = 1.0;
@@ -394,7 +438,26 @@ BlockAccum YieldPlan::sample_block(std::size_t index,
       }
       w = importance_weight(v);
     } else {
-      v = sample_cell_variation(options_.seed, trial, s);
+      // Unpolished gate (Blockade; skip_below_ is -inf in brute force): a
+      // cell whose score and mirrored score on its Acklam normals both sit
+      // below skip_below_ predicts a DRV below the gate, so it is no
+      // candidate and fails no grid point. It skips the polish and the
+      // surrogate's knot search; its drvs[] slot keeps 0 until the block
+      // maximum below asks for its value.
+      const CellDraws draws = draw_cell(options_.seed, trial, s);
+      double u1 = 0.0, u0 = 0.0;
+      for (std::size_t i = 0; i < draws.x.size(); ++i) {
+        u1 += gate_weights[i] * draws.x[i];
+        u0 += mirror_weights_[i] * draws.x[i];
+      }
+      const double score = std::max(u1, u0);
+      if (score < skip_below_) {
+        skipped_score[pos] = score;
+        if (top_skipped == count || score > skipped_score[top_skipped])
+          top_skipped = pos;
+        continue;
+      }
+      v = draws.polished();
     }
 
     // Cheap pre-filter: the surrogate classifies every cell; only candidates
@@ -405,7 +468,6 @@ BlockAccum YieldPlan::sample_block(std::size_t index,
     // the equivalence suite bounds).
     const double surrogate_drv = surrogate_->predict_drv(v);
     const bool candidate = surrogate_drv >= gate_;
-    const std::size_t pos = s - begin;
     weights[pos] = w;
     drvs[pos] = surrogate_drv;
     if (candidate) ++acc.candidates;
@@ -450,6 +512,31 @@ BlockAccum YieldPlan::sample_block(std::size_t index,
       const CoreCell cell(*tech_, staged_v[i], options_.corner);
       drvs[staged_pos[i]] = drv_ds(cell, options_.temp_c).drv();
       ++acc.exact_solves;
+    }
+  }
+
+  // The block maximum is the one output that reads a skipped cell's DRV.
+  // Give every skipped cell whose score could still reach the maximum its
+  // exact surrogate value (polished field, predict_drv), highest score
+  // first; a cell left at 0 predicts below the maximum as it stands. When
+  // the highest-scoring skipped cell cannot reach it, none can.
+  if (top_skipped < count) {
+    double top = 0.0;  // BlockAccum's floor
+    for (const double drv : drvs) top = std::max(top, drv);
+    double reach = surrogate_->score_threshold(top) - score_slack_;
+    const auto repolish = [&](std::size_t pos) {
+      drvs[pos] = surrogate_->predict_drv(
+          sample_cell_variation(options_.seed, trial, begin + pos));
+      skipped_score[pos] = -std::numeric_limits<double>::infinity();
+      if (drvs[pos] > top) {
+        top = drvs[pos];
+        reach = surrogate_->score_threshold(top) - score_slack_;
+      }
+    };
+    if (skipped_score[top_skipped] >= reach) {
+      repolish(top_skipped);
+      for (std::size_t pos = 0; pos < count; ++pos)
+        if (skipped_score[pos] >= reach) repolish(pos);
     }
   }
 

@@ -211,6 +211,14 @@ class YieldPlan {
   std::size_t task_count_ = 0;
   std::size_t blocks_per_trial_ = 0;
   double gate_ = 0.0;
+  // Blockade's unpolished gate (see sample_block): a cell whose score on
+  // unpolished normals falls below skip_below_ cannot be a candidate.
+  // score_slack_ bounds how far an unpolished score can sit from the
+  // polished one. Outside Blockade mode skip_below_ is -inf.
+  double skip_below_ = 0.0;
+  double score_slack_ = 0.0;
+  // The surrogate weights, mirrored: w_mirror . x == w . mirror(x).
+  std::array<double, 6> mirror_weights_{};
   std::array<double, 6> shift_{};         // mu
   std::array<double, 6> shift_mirror_{};  // mirror(mu)
   double shift_sq_half_ = 0.0;            // |mu|^2 / 2

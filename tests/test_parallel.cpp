@@ -3,18 +3,24 @@
 // sweep results at any thread count, cache on or off, under chaos.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lpsram/regulator/regulator.hpp"
 #include "lpsram/runtime/chaos.hpp"
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/spice/hooks.hpp"
+#include "lpsram/testflow/case_studies.hpp"
 #include "lpsram/testflow/defect_characterization.hpp"
+#include "lpsram/testflow/pvt.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/kernel_config.hpp"
 
@@ -400,6 +406,105 @@ TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsDenseKernel) {
   const auto serial = run_sweep(1, false, Kernel::Reference);
   EXPECT_EQ(run_sweep(2, false, Kernel::Reference), serial);
   EXPECT_EQ(run_sweep(8, false, Kernel::Reference), serial);
+}
+
+// ---------- per-task solver state -------------------------------------------
+
+// Every SolveTelemetry counter, plus the threshold bits, of every Table II
+// cell, keyed by (defect, case study) so submission order cannot matter.
+using RowCounters = std::map<std::pair<DefectId, std::string>,
+                             std::vector<std::uint64_t>>;
+
+RowCounters table2_row_counters(int threads, bool permuted) {
+  const std::vector<PvtPoint> grid = full_pvt_grid(tech());
+  DefectCharacterizationOptions options;
+  options.pvt = {grid[0], grid[15], grid[30]};
+  options.threads = threads;
+  std::vector<DefectId> defects(table2_defects().begin(),
+                                table2_defects().end());
+  std::vector<CaseStudy> cases = table2_case_studies();
+  if (permuted) {
+    std::reverse(defects.begin(), defects.end());
+    std::rotate(cases.begin(), cases.begin() + 2, cases.end());
+  }
+  const auto rows = DefectCharacterizer(tech(), options).table(defects, cases);
+  RowCounters counters;
+  for (const auto& row : rows) {
+    for (const DefectCsResult& cell : row) {
+      std::vector<std::uint64_t>& c = counters[{cell.id, cell.cs_name}];
+      c.push_back(key_bits(cell.min_resistance));
+      for (const std::uint64_t* counter :
+           telemetry_counters(cell.telemetry.solves))
+        c.push_back(*counter);
+    }
+  }
+  return counters;
+}
+
+// The rows of `got` whose counters differ from `want`'s, by name.
+std::string differing_rows(const RowCounters& want, const RowCounters& got) {
+  std::string rows;
+  for (const auto& [cell, counters] : want) {
+    const auto found = got.find(cell);
+    if (found == got.end() || found->second != counters)
+      rows += " Df" + std::to_string(cell.first) + "/" + cell.second;
+  }
+  return rows;
+}
+
+// A worker slot's regulators outlive its tasks. Were their sparse-LU pivot
+// order carried from one task to the next, warm hits, fallbacks and the
+// rung counts of a row would depend on which tasks the slot ran before it;
+// each task starts from the regulator's canonical analysis instead.
+TEST(TaskSolverState, EveryCounterIdenticalAcrossThreadsAndOrder) {
+  const RowCounters serial = table2_row_counters(1, false);
+  ASSERT_EQ(serial.size(), 85u);  // 17 defects x 5 case studies
+  EXPECT_EQ(differing_rows(serial, table2_row_counters(8, false)), "");
+  EXPECT_EQ(differing_rows(serial, table2_row_counters(8, true)), "");
+}
+
+// Regulators are built inside sweep tasks. The DC solve behind their
+// canonical analysis must be invisible to the task's observers: otherwise
+// chaos injected into it would change every later task's pivot order.
+TEST(TaskSolverState, ObserversCannotReachTheCanonicalAnalysis) {
+  CountingObserver observer;
+  {
+    const ScopedSolverObserver install(&observer);
+    const VoltageRegulator reg(tech(), Corner::Typical);
+    EXPECT_EQ(solver_observer(), &observer);
+  }
+  EXPECT_EQ(observer.solves, 0);
+
+  ChaosPolicy policy;
+  policy.seed = 5;
+  policy.first_attempt_failure_rate = 1.0;
+  policy.retry_failure_rate = 1.0;
+  ChaosEngine chaos(policy);
+  std::optional<VoltageRegulator> under_chaos;
+  {
+    const ChaosScope scope(chaos);
+    const ScopedTaskObserver task(7);
+    under_chaos.emplace(tech(), Corner::Typical);
+    EXPECT_EQ(solver_observer(), task.fork());
+  }
+  EXPECT_EQ(chaos.solves_seen(), 0u);
+
+  // Same canonical analysis: the same task on both regulators takes the
+  // same path, solve for solve.
+  VoltageRegulator quiet(tech(), Corner::Typical);
+  for (VoltageRegulator* reg : {&quiet, &*under_chaos}) {
+    reg->set_solve_cache(nullptr, 1);
+    reg->set_regon(true);
+    reg->set_power_switch(false);
+    for (const double ohms : {1e3, 1e5, 1e7}) {
+      reg->inject_defect(16, ohms);
+      (void)reg->vreg_dc(125.0);
+    }
+  }
+  const auto a = telemetry_counters(quiet.solve_telemetry());
+  const auto b = telemetry_counters(under_chaos->solve_telemetry());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(*a[i], *b[i]) << i;
+  EXPECT_EQ(key_bits(quiet.vreg_dc(125.0)), key_bits(under_chaos->vreg_dc(125.0)));
 }
 
 }  // namespace

@@ -6,9 +6,14 @@
 // fabric-sharded fleet reduced from its merged journal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "lpsram/cell/batch_vtc.hpp"
@@ -138,6 +143,155 @@ TEST(CounterRng, SampleCellVariationMatchesLanes) {
                      counter_normal(11, 3, 17, lane));
 }
 
+// The counter chain with no hoisted prefix, and Acklam plus Halley as one
+// fused quantile: the reference the production draws must reproduce bit
+// for bit.
+std::uint64_t oracle_mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t oracle_fold(std::uint64_t h, std::uint64_t v) {
+  return oracle_mix64(h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
+}
+
+std::uint64_t oracle_u64(std::uint64_t seed, std::uint64_t trial,
+                         std::uint64_t cell, std::uint64_t lane) {
+  std::uint64_t h = oracle_mix64(seed ^ 0x9e3779b97f4a7c15ULL);
+  h = oracle_fold(h, trial);
+  h = oracle_fold(h, cell);
+  h = oracle_fold(h, lane);
+  return oracle_mix64(h);
+}
+
+double oracle_quantile(double p) {
+  static constexpr double a[6] = {-3.969683028665376e+01, 2.209460984245205e+02,
+                                  -2.759285104469687e+02, 1.383577518672690e+02,
+                                  -3.066479806614716e+01, 2.506628277459239e+00};
+  static constexpr double b[5] = {-5.447609879822406e+01, 1.615858368580409e+02,
+                                  -1.556989798598866e+02, 6.680131188771972e+01,
+                                  -1.328068155288572e+01};
+  static constexpr double c[6] = {-7.784894002430293e-03, -3.223964580411365e-01,
+                                  -2.400758277161838e+00, -2.549732539343734e+00,
+                                  4.374664141464968e+00,  2.938163982698783e+00};
+  static constexpr double d[4] = {7.784695709041462e-03, 3.224671290700398e-01,
+                                  2.445134137142996e+00, 3.754408661907416e+00};
+  constexpr double plow = 0.02425;
+  double x;
+  if (p < plow) {
+    const double q = std::sqrt(-2.0 * std::log(p));
+    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
+        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+  } else if (p <= 1.0 - plow) {
+    const double q = p - 0.5;
+    const double r = q * q;
+    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
+        q /
+        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
+  } else {
+    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
+    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
+        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+  }
+  const double e = 0.5 * std::erfc(-x * M_SQRT1_2) - p;
+  const double u = e * std::sqrt(2.0 * M_PI) * std::exp(0.5 * x * x);
+  return x - u / (1.0 + 0.5 * x * u);
+}
+
+double oracle_uniform(std::uint64_t seed, std::uint64_t trial,
+                      std::uint64_t cell, std::uint64_t lane) {
+  return (static_cast<double>(oracle_u64(seed, trial, cell, lane) >> 11) +
+          0.5) *
+         0x1p-53;
+}
+
+CellVariation oracle_cell_variation(std::uint64_t seed, std::uint64_t trial,
+                                    std::uint64_t cell) {
+  CellVariation v;
+  for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane)
+    v.set(kAllCellTransistors[lane],
+          oracle_quantile(oracle_uniform(seed, trial, cell, lane)));
+  return v;
+}
+
+TEST(CounterRng, HoistedDrawsMatchTheUnhoistedOracle) {
+  std::vector<std::array<std::uint64_t, 3>> coords;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, kMax})
+    for (const std::uint64_t trial : {std::uint64_t{0}, kMax - 1, kMax})
+      for (const std::uint64_t cell : {std::uint64_t{0}, std::uint64_t{1} << 63, kMax})
+        coords.push_back({seed, trial, cell});
+  std::uint64_t h = 0x5eedULL;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t seed = h = oracle_mix64(h);
+    const std::uint64_t trial = (h = oracle_mix64(h)) % 64;
+    const std::uint64_t cell = (h = oracle_mix64(h)) % (4096 * 64);
+    coords.push_back({seed, trial, cell});
+  }
+  for (const auto& [seed, trial, cell] : coords) {
+    for (std::uint64_t lane = 0; lane < 8; ++lane)
+      ASSERT_EQ(counter_u64(seed, trial, cell, lane),
+                oracle_u64(seed, trial, cell, lane));
+    const CellDraws draws = draw_cell(seed, trial, cell);
+    const CellVariation oracle = oracle_cell_variation(seed, trial, cell);
+    const CellVariation polished = draws.polished();
+    const CellVariation sampled = sample_cell_variation(seed, trial, cell);
+    for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane) {
+      const CellTransistor t = kAllCellTransistors[lane];
+      ASSERT_EQ(key_bits(draws.p[lane]),
+                key_bits(oracle_uniform(seed, trial, cell, lane)));
+      ASSERT_EQ(key_bits(draws.x[lane]),
+                key_bits(normal_quantile_acklam(draws.p[lane])));
+      ASSERT_EQ(key_bits(polished.get(t)), key_bits(oracle.get(t)));
+      ASSERT_EQ(key_bits(sampled.get(t)), key_bits(oracle.get(t)));
+      ASSERT_EQ(key_bits(counter_normal(seed, trial, cell, lane)),
+                key_bits(oracle.get(t)));
+    }
+  }
+}
+
+// The unpolished gate's error budget (YieldPlan, Blockade): per lane the
+// Acklam normal sits within kAcklamRelError of the polished one, plus the
+// polish's own rounding near 0 (below 1e-15), and within kMaxAbsNormal.
+TEST(CounterRng, AcklamStaysWithinTheStatedBoundOfThePolishedQuantile) {
+  double worst_excess = -1.0;
+  double worst_abs = 0.0;
+  const auto check = [&](double p) {
+    const double x = normal_quantile_acklam(p);
+    const double v = normal_quantile(p);
+    ASSERT_EQ(key_bits(normal_quantile_polish(x, p)), key_bits(v)) << p;
+    worst_excess = std::max(
+        worst_excess, std::fabs(x - v) - kAcklamRelError * std::fabs(v));
+    worst_abs = std::max(worst_abs, std::fabs(x));
+    ASSERT_LE(std::fabs(x - v), kAcklamRelError * std::fabs(v) + 1e-15)
+        << "p=" << p;
+  };
+  // Every power of two down to the counter's extremes: p = 2^-54 below,
+  // 1 - p = 2^-53 above.
+  for (int k = 1; k <= 54; ++k) {
+    check(std::ldexp(1.0, -k));
+    if (k <= 53) check(1.0 - std::ldexp(1.0, -k));
+  }
+  // Log-spaced sweep across both tails, and the region around p = 0.5
+  // where the polish's rounding dominates the relative error.
+  for (int i = 0; i <= 20000; ++i) {
+    const double p = std::ldexp(1.0, -54) * std::pow(2.0, 53.0 * i / 20000.0);
+    check(p);
+    if (1.0 - p < 1.0) check(1.0 - p);
+  }
+  for (int i = 1; i <= 2000; ++i) {
+    check(0.5 + 1e-12 * i);
+    check(0.5 - 1e-9 * i);
+  }
+  // 10^7 uniforms as the sampler draws them.
+  for (std::uint64_t i = 0; i < 10000000; ++i)
+    check(counter_uniform(0xAC, i >> 20, i, i & 7));
+  EXPECT_LE(worst_abs, kMaxAbsNormal);
+  EXPECT_LE(worst_excess, 1e-15);
+}
+
 // ---------- surrogate / lane-kernel equivalence -----------------------------
 
 TEST(YieldEquivalence, SurrogateErrorBoundedOnSampledFields) {
@@ -174,6 +328,128 @@ TEST(YieldEquivalence, LaneKernelAgreesWithScalarOnSampledFields) {
     }
     EXPECT_NEAR(scalar, batched, 0.005 * scalar + 1e-6) << "sample " << i;
   }
+}
+
+// ---------- the unpolished gate against the polished oracle ----------------
+
+TEST(YieldGate, ScoreThresholdBoundsEveryPrediction) {
+  const auto& w = surrogate().weights();
+  for (const double drv : {0.15, 0.22, 0.28, 0.31, 0.34, 0.40, 0.6}) {
+    const double threshold = surrogate().score_threshold(drv);
+    ASSERT_FALSE(std::isnan(threshold));
+    // Patterns along the fitted direction, at scores just under the
+    // threshold and around it: below it, no prediction reaches drv.
+    double norm_sq = 0.0;
+    for (const double wi : w) norm_sq += wi * wi;
+    for (int i = -2000; i <= 200; ++i) {
+      const double target = std::isfinite(threshold)
+                                ? threshold + 1e-4 * i
+                                : 0.002 * i;
+      CellVariation v;
+      for (std::size_t k = 0; k < kAllCellTransistors.size(); ++k)
+        v.set(kAllCellTransistors[k], w[k] * target / norm_sq);
+      const double s1 = surrogate().score(v);
+      const double s0 = surrogate().score(v.mirrored());
+      if (s1 < threshold && s0 < threshold)
+        EXPECT_LT(surrogate().predict_drv(v), drv) << "score " << s1;
+    }
+  }
+}
+
+// Blockade pass 1 without the unpolished gate, the reference run_block must
+// match: every cell drawn polished and surrogate-classified, every
+// candidate solved exactly, one at a time, and accumulated in cell order.
+BlockAccum polished_block(const YieldPlan& plan, std::size_t index) {
+  const YieldEngineOptions& o = plan.options();
+  const std::uint64_t trial = index / plan.blocks_per_trial();
+  const std::size_t begin = (index % plan.blocks_per_trial()) * o.block_cells;
+  const std::size_t end = std::min(begin + o.block_cells, o.cells_per_trial());
+  BlockAccum acc;
+  acc.points.resize(o.vreg_grid.size());
+  for (std::size_t s = begin; s < end; ++s) {
+    const CellVariation v = oracle_cell_variation(o.seed, trial, s);
+    double drv = surrogate().predict_drv(v);
+    if (drv >= plan.gate_threshold()) {
+      ++acc.candidates;
+      ++acc.exact_solves;
+      drv = drv_ds(CoreCell(tech(), v, o.corner), o.temp_c).drv();
+    }
+    for (std::size_t k = 0; k < o.vreg_grid.size(); ++k)
+      acc.points[k].add(1.0, drv > o.vreg_grid[k]);
+    acc.sum_w += 1.0;
+    acc.sum_w2 += 1.0;
+    acc.max_drv = std::max(acc.max_drv, drv);
+    ++acc.samples;
+  }
+  return acc;
+}
+
+// run_block against the oracle, field for field on BlockAccum, over every
+// block of every seed. Returns the oracle's candidate count.
+std::uint64_t expect_blocks_match_oracle(YieldEngineOptions options,
+                                         std::initializer_list<std::uint64_t> seeds) {
+  std::uint64_t candidates = 0;
+  for (const std::uint64_t seed : seeds) {
+    options.seed = seed;
+    const YieldPlan plan(tech(), surrogate(), options);
+    for (std::size_t i = 0; i < plan.task_count(); ++i) {
+      const BlockAccum got = plan.run_block(i);
+      const BlockAccum want = polished_block(plan, i);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " block " + std::to_string(i));
+      EXPECT_EQ(got.samples, want.samples);
+      EXPECT_EQ(got.candidates, want.candidates);
+      EXPECT_EQ(got.exact_solves, want.exact_solves);
+      EXPECT_EQ(key_bits(got.sum_w), key_bits(want.sum_w));
+      EXPECT_EQ(key_bits(got.sum_w2), key_bits(want.sum_w2));
+      EXPECT_EQ(key_bits(got.max_drv), key_bits(want.max_drv));
+      EXPECT_GT(got.max_drv, 0.0);
+      EXPECT_EQ(got.points.size(), want.points.size());
+      for (std::size_t k = 0;
+           k < std::min(got.points.size(), want.points.size()); ++k) {
+        EXPECT_EQ(got.points[k].fail_raw, want.points[k].fail_raw);
+        EXPECT_EQ(key_bits(got.points[k].sum_wf), key_bits(want.points[k].sum_wf));
+        EXPECT_EQ(key_bits(got.points[k].sum_wf2),
+                  key_bits(want.points[k].sum_wf2));
+      }
+      candidates += want.candidates;
+    }
+  }
+  return candidates;
+}
+
+YieldEngineOptions gate_options() {
+  YieldEngineOptions options;  // the default grid and margin
+  options.rows = 128;
+  options.cols = 64;
+  options.trials = 2;
+  options.block_cells = 4096;
+  options.threads = 1;
+  return options;
+}
+
+TEST(YieldGate, RunBlockMatchesPolishedOracleOnTheDefaultGrid) {
+  // About 1.4e-3 of nominal cells pass the default gate: a handful of
+  // candidates per seed among cells the gate settles unpolished.
+  EXPECT_GT(expect_blocks_match_oracle(gate_options(), {1, 2, 3}), 0u);
+}
+
+TEST(YieldGate, RunBlockMatchesPolishedOracleWhenEveryCellIsACandidate) {
+  YieldEngineOptions options = gate_options();
+  options.rows = 16;
+  options.cols = 16;
+  options.trials = 1;
+  options.block_cells = 128;
+  options.blockade_margin = 0.40;  // gate below every surrogate DRV
+  EXPECT_EQ(expect_blocks_match_oracle(options, {4, 5}), 2u * 256u);
+}
+
+TEST(YieldGate, RunBlockMatchesPolishedOracleWithNoCandidates) {
+  // A grid above every cell: no candidate, so each block maximum is a
+  // surrogate value the gate first settled without polishing.
+  YieldEngineOptions options = gate_options();
+  options.vreg_grid = {0.6};
+  options.blockade_margin = 0.0;
+  EXPECT_EQ(expect_blocks_match_oracle(options, {1, 6, 7}), 0u);
 }
 
 // ---------- estimator algebra ----------------------------------------------
@@ -283,6 +559,37 @@ TEST(YieldPlan, ValidatesOptions) {
   bad = small_options(YieldMode::Blockade);
   bad.blockade_margin = -0.01;
   EXPECT_THROW(YieldPlan(tech(), surrogate(), bad), InvalidArgument);
+}
+
+// Non-finite options are refused at construction, each on its own.
+TEST(YieldPlan, RejectsInfiniteIsShift) {
+  YieldEngineOptions bad = small_options(YieldMode::ImportanceSampled);
+  bad.is_shift = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(YieldPlan(tech(), surrogate(), bad), InvalidArgument);
+}
+
+TEST(YieldPlan, RejectsInfiniteBlockadeMargin) {
+  // Every cell a candidate: a brute-force run under the blockade's name.
+  YieldEngineOptions bad = small_options(YieldMode::Blockade);
+  bad.blockade_margin = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(YieldPlan(tech(), surrogate(), bad), InvalidArgument);
+}
+
+TEST(YieldPlan, RejectsInfinitePilotShiftHi) {
+  YieldEngineOptions bad = small_options(YieldMode::ImportanceSampled);
+  bad.auto_shift = true;
+  bad.pilot_shift_hi = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(YieldPlan(tech(), surrogate(), bad), InvalidArgument);
+}
+
+TEST(YieldPlan, RejectsNonFiniteTemperature) {
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    YieldEngineOptions bad = small_options(YieldMode::Blockade);
+    bad.temp_c = t;
+    EXPECT_THROW(YieldPlan(tech(), surrogate(), bad), InvalidArgument);
+  }
 }
 
 TEST(YieldPlan, BlocksNeverSpanTrialsAndCoverEveryCell) {

@@ -4,6 +4,7 @@
 set(cases
   "--trials|0"
   "--mode|is|--shift|nan"
+  "--mode|is|--shift|inf"
   "--vreg|abc"
   "--rows|abc"
   "--threads|-1"

@@ -19,8 +19,8 @@ and fails (exit 1) when any perf invariant regresses:
   * the lockstep batched transient engine must stay at least
     MIN_BATCHED_SPEEDUP x faster than the serial per-defect path.
 
-A benchmark registered with Repetitions(N) (the transient pair is) is
-gated on the median of its repetitions' real times, which the report
+A benchmark registered with Repetitions(N) (the hold-SNM and transient
+pairs are) is gated on the median of its repetitions' real times, which the report
 carries as its `median` aggregate; any other on its one measurement.
 
 Every gated benchmark name is checked for presence up front: a missing
