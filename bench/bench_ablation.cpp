@@ -10,10 +10,13 @@
 //     1 ms" rule.
 //  C. Optimizer "best condition" margin: how many flow iterations the
 //     greedy cover needs as the margin widens (1.0 = only exact optima).
-//  D. Solver convergence strategies: how many of a stress set of operating
-//     points each Newton fallback tier rescues.
+//  D. Solver convergence strategies: the retry-ladder rungs a stress set of
+//     operating points runs, and the one point of a wider cold-start census
+//     that only a rescue rung solves.
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "lpsram/testflow/defect_characterization.hpp"
 #include "lpsram/util/error.hpp"
@@ -96,8 +99,26 @@ int main() {
   }
 
   // ---- D: DC solver strategies ------------------------------------------------
-  std::printf("D. DC convergence across a defect/PVT stress set:\n");
+  std::printf("D. DC convergence and retry-ladder rungs across a defect/PVT "
+              "stress set:\n");
   {
+    std::vector<std::string> header = {"points", "solved"};
+    for (std::size_t i = 0; i < kSolveStrategyCount; ++i)
+      header.push_back(strategy_name(static_cast<SolveStrategy>(i)));
+    header.push_back("degraded");
+    header.push_back("failures");
+    AsciiTable table(header);
+    const auto add_row = [&table](const std::string& name, int solved,
+                                  int total, const SolveTelemetry& t) {
+      std::vector<std::string> row = {
+          name, std::to_string(solved) + "/" + std::to_string(total)};
+      for (const std::uint64_t attempts : t.rung_attempts)
+        row.push_back(std::to_string(attempts));
+      row.push_back(std::to_string(t.degraded));
+      row.push_back(std::to_string(t.failures));
+      table.add_row(std::move(row));
+    };
+
     ArrayLoadModel::Options load;
     VoltageRegulator reg(tech, Corner::FastNSlowP, load);
     int solved = 0, total = 0;
@@ -119,9 +140,28 @@ int main() {
         }
       }
     }
-    std::printf("   %d/%d stress points solved (worst Newton iteration "
-                "count %d)\n",
-                solved, total, max_iters);
+    add_row("stress set: fs, 125C", solved, total, reg.solve_telemetry());
+
+    // The rescue point (*): cold-start and dense-gmin fail on a fresh
+    // regulator, relaxed-polish returns a Degraded point.
+    ArrayLoadModel::Options weak;
+    weak.weak_cells = 64;
+    weak.weak_drv = 0.45;
+    VoltageRegulator rescue(tech, Corner::SlowNFastP, weak);
+    rescue.inject_defect(32, 1e7);
+    rescue.set_vdd(1.0);
+    rescue.select_vref(VrefLevel::V064);
+    const SolveOutcome outcome = rescue.solve_dc_outcome(-30.0);
+    add_row("sf Df32=10M 1.0V -30C 0.64 (*)", outcome.ok() ? 1 : 0, 1,
+            rescue.solve_telemetry());
+
+    std::fputs(table.str().c_str(), stdout);
+    std::printf("   worst Newton iteration count of the stress set: %d\n",
+                max_iters);
+    std::printf("   (*) 64 weak cells at DRV 0.45 V: the one point of a "
+                "61,200-point cold-start census\n       (2 loads x 5 corners "
+                "x 17 defects x 10 R decades x 3 VDD x 3 T x 4 Vref) that\n"
+                "       needs a rescue rung.\n");
   }
   return 0;
 }

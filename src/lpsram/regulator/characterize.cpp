@@ -103,11 +103,7 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
         regulators[static_cast<std::size_t>(task.worker)].emplace(tech, corner);
     reg.set_solve_cache(task.cache, task.key);
     task.count_solves([&reg] { return reg.solve_telemetry(); });
-    if (cancel) {
-      RetryLadderOptions policy = reg.solve_policy();
-      policy.cancel = cancel;
-      reg.set_solve_policy(std::move(policy));
-    }
+    reg.set_cancel(cancel);
     reg.select_vref(vref);
     reg.set_regon(true);
     reg.set_power_switch(false);
@@ -184,15 +180,14 @@ VoltageRegulator& RegulatorCharacterizer::regulator_for(Corner corner) const {
                                      tech_, corner, load_options_))
                 .first;
     found->second->set_solve_cache(solve_cache_, cache_task_key_);
-    if (has_solve_policy_) found->second->set_solve_policy(solve_policy_);
+    found->second->set_cancel(cancel_);
   }
   return *found->second;
 }
 
-void RegulatorCharacterizer::set_solve_policy(const RetryLadderOptions& policy) {
-  solve_policy_ = policy;
-  has_solve_policy_ = true;
-  for (auto& [corner, reg] : regulators_) reg->set_solve_policy(policy);
+void RegulatorCharacterizer::set_cancel(const CancelToken* cancel) {
+  cancel_ = cancel;
+  for (auto& [corner, reg] : regulators_) reg->set_cancel(cancel);
 }
 
 void RegulatorCharacterizer::set_solve_cache(SolveCache* cache,

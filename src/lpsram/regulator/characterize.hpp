@@ -124,10 +124,10 @@ class RegulatorCharacterizer {
   // this again with the task's key before each task body.
   void set_solve_cache(SolveCache* cache, std::uint64_t task_key = 0);
 
-  // Applies a retry-ladder policy (deadline, cancel token, ...) to the
-  // existing and every future per-corner regulator — how sweep drivers
-  // thread a CancelToken down into the Newton loops.
-  void set_solve_policy(const RetryLadderOptions& policy);
+  // Hands a cancel token (VoltageRegulator::set_cancel) to the existing and
+  // every future per-corner regulator — how sweep drivers thread a
+  // CancelToken down into the Newton loops.
+  void set_cancel(const CancelToken* cancel);
 
   // Solve counters summed over the per-corner regulators. Sweep drivers
   // snapshot this before/after a task to attribute solves to it.
@@ -141,8 +141,7 @@ class RegulatorCharacterizer {
   FlipTimeModel flip_;
   SolveCache* solve_cache_ = nullptr;
   std::uint64_t cache_task_key_ = 0;
-  RetryLadderOptions solve_policy_;
-  bool has_solve_policy_ = false;
+  const CancelToken* cancel_ = nullptr;
   // One regulator instance per corner, built lazily and reconfigured per
   // query (warm-started DC solves make sweeps cheap).
   mutable std::map<Corner, std::unique_ptr<VoltageRegulator>> regulators_;

@@ -356,7 +356,7 @@ SolveOutcome VoltageRegulator::solve_dc_outcome(double temp_c) const {
   // analysis instead of redoing it per DcSolver.
   DcOptions dc_options;
   dc_options.shared_workspace = &newton_ws_;
-  const ResilientDcSolver solver(netlist_, temp_c, dc_options, solve_policy_);
+  dc_options.cancel = cancel_;
 
   // Cold start with a cache attached: seed the warm-start rung from the
   // nearest cached neighbour along the defect-resistance axis. The key
@@ -387,7 +387,7 @@ SolveOutcome VoltageRegulator::solve_dc_outcome(double temp_c) const {
   }
 
   const std::vector<double>* warm = warm_start_.empty() ? nullptr : &warm_start_;
-  SolveOutcome outcome = solver.solve(warm);
+  SolveOutcome outcome = solve_dc_resilient(netlist_, temp_c, dc_options, warm);
   // Every fallback (a warm start that failed and was rescued by a later
   // rung) is now visible in the telemetry instead of being swallowed.
   telemetry_.record(outcome);
@@ -405,10 +405,7 @@ SolveOutcome VoltageRegulator::solve_dc_outcome(double temp_c) const {
 
 DcResult VoltageRegulator::solve_dc(double temp_c) const {
   SolveOutcome outcome = solve_dc_outcome(temp_c);
-  if (!outcome.ok()) {
-    const ResilientDcSolver solver(netlist_, temp_c, DcOptions{}, solve_policy_);
-    solver.throw_outcome(outcome);
-  }
+  if (!outcome.ok()) throw_outcome(outcome);
   return std::move(outcome.result);
 }
 
@@ -462,6 +459,7 @@ Waveform VoltageRegulator::simulate_ds_entry(double duration, double temp_c,
   TransientOptions opts;
   if (options) opts = *options;
   opts.t_stop = duration;
+  if (!opts.dc.cancel) opts.dc.cancel = cancel_;
 
   TransientSolver solver(netlist_, temp_c, opts);
   Waveform wave =
@@ -504,6 +502,7 @@ std::vector<Waveform> VoltageRegulator::simulate_ds_entry_lanes(
   TransientOptions opts;
   if (options) opts = *options;
   opts.t_stop = duration;
+  if (!opts.dc.cancel) opts.dc.cancel = cancel_;
 
   BatchTransientSolver solver(netlist_, temp_c, opts);
   std::vector<Waveform> waves =

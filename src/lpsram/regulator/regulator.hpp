@@ -86,14 +86,10 @@ class VoltageRegulator {
   // outcome.status. Telemetry is recorded either way.
   SolveOutcome solve_dc_outcome(double temp_c) const;
 
-  // Retry-ladder policy for this regulator's solves (deadline, budgets,
-  // strategy order).
-  void set_solve_policy(RetryLadderOptions policy) {
-    solve_policy_ = std::move(policy);
-  }
-  const RetryLadderOptions& solve_policy() const noexcept {
-    return solve_policy_;
-  }
+  // Cancel token for this regulator's solves (nullptr detaches): polled
+  // between ladder rungs and in every Newton iteration of its DC solves and
+  // DS-entry transients. Non-owning; must outlive the solves.
+  void set_cancel(const CancelToken* cancel) noexcept { cancel_ = cancel; }
   // Running solve counters: warm hits, fallbacks, degradations, failures,
   // per-rung attempts and (when a cache is attached) cache traffic.
   const SolveTelemetry& solve_telemetry() const noexcept { return telemetry_; }
@@ -126,7 +122,8 @@ class VoltageRegulator {
   // Deep-sleep entry transient: starts from the ACT operating point
   // (PS on, REGON off), then at t=0 opens the power switch and asserts
   // REGON. Returns the VDD_CC waveform (probe 0) and the MPreg1 gate
-  // waveform (probe 1). Leaves the regulator configured in DS mode.
+  // waveform (probe 1). Leaves the regulator configured in DS mode. When
+  // `options` carries no cancel token, the transient polls the regulator's.
   Waveform simulate_ds_entry(double duration, double temp_c,
                              const TransientOptions* options = nullptr);
 
@@ -134,11 +131,11 @@ class VoltageRegulator {
   // defect site, marched together by the lockstep batch engine
   // (spice/batch_transient.hpp) — the ACT operating points are solved
   // serially per lane, the DS transients share assembly and factorization.
-  // Waveforms are returned in `ohms` order with the same probes as
-  // simulate_ds_entry. Under the serial transient reference (or for a
-  // single lane under the scalar SIMD reference) each waveform is the
-  // serial path's, bit-for-bit. Leaves the regulator in DS mode with the
-  // *last* lane's resistance injected and no warm start.
+  // Waveforms are returned in `ohms` order with the same probes and
+  // cancel-token rule as simulate_ds_entry. Under the serial transient
+  // reference (or for a single lane under the scalar SIMD reference) each
+  // waveform is the serial path's, bit-for-bit. Leaves the regulator in DS
+  // mode with the *last* lane's resistance injected and no warm start.
   std::vector<Waveform> simulate_ds_entry_lanes(
       DefectId id, std::span<const double> ohms, double duration,
       double temp_c, const TransientOptions* options = nullptr);
@@ -197,7 +194,7 @@ class VoltageRegulator {
   // starts from (set_solve_cache), so which rung converges, and every solve
   // counter, does not depend on the tasks a worker slot ran before.
   SparseLu canonical_lu_;
-  RetryLadderOptions solve_policy_;
+  const CancelToken* cancel_ = nullptr;
   mutable SolveTelemetry telemetry_;
 
   // Operating-point cache plumbing (see set_solve_cache). The injected

@@ -259,8 +259,8 @@ void encode_telemetry(PayloadWriter& out, const SolveTelemetry& t) {
 }
 
 SolveTelemetry decode_telemetry(PayloadReader& in) {
-  // Deterministic counters only: the `last` outcome snapshot and all
-  // timings are excluded from the resume determinism contract.
+  // Counters only: timings are excluded from the resume determinism
+  // contract.
   SolveTelemetry t;
   for (std::uint64_t* counter : telemetry_counters(t)) *counter = in.u64();
   return t;

@@ -14,8 +14,8 @@
 // nothing of the interrupted run carried over — SolveCache keys are
 // task-scoped, so it sees exactly the solve sequence it would have seen in
 // the uninterrupted run. Final tables and deterministic telemetry counters
-// are bit-identical. (Timings, and the `last` outcome snapshot, are excluded
-// from the contract; replayed tasks report zero wall-clock.)
+// are bit-identical. (Timings are excluded from the contract; replayed tasks
+// report zero wall-clock.)
 //
 // Older journals also hold, as record type 3, the DC operating points each
 // task's solve cache stored. No resume could use them: they belong to

@@ -1,8 +1,6 @@
 #include "lpsram/runtime/chaos.hpp"
 
-#include <chrono>
 #include <limits>
-#include <thread>
 
 namespace lpsram {
 namespace {
@@ -25,16 +23,15 @@ std::string chaos_fault_name(ChaosFault fault) {
     case ChaosFault::NanResidual: return "nan-residual";
     case ChaosFault::SingularJacobian: return "singular-jacobian";
     case ChaosFault::IterationCap: return "iteration-cap";
-    case ChaosFault::Stall: return "stall";
   }
   return "?";
 }
 
 ChaosEngine::ChaosEngine(ChaosPolicy policy)
-    : policy_(std::move(policy)), injection_counts_(4, 0) {}
+    : policy_(std::move(policy)), injection_counts_(3, 0) {}
 
 ChaosEngine::ChaosEngine(ChaosPolicy policy, ChaosEngine* parent)
-    : policy_(std::move(policy)), parent_(parent), injection_counts_(4, 0) {}
+    : policy_(std::move(policy)), parent_(parent), injection_counts_(3, 0) {}
 
 ChaosEngine::~ChaosEngine() {
   if (parent_) parent_->absorb(*this);
@@ -112,13 +109,6 @@ void ChaosEngine::on_newton_iteration(NewtonEvent& event) {
       // Keep the residual large and finite: Newton keeps stepping without
       // converging until it breaches max_iterations.
       for (double& r : *event.residual) r = 1.0;
-      break;
-
-    case ChaosFault::Stall:
-      if (policy_.stall_seconds > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(policy_.stall_seconds));
-      }
       break;
   }
 }

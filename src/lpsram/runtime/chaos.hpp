@@ -2,11 +2,10 @@
 //
 // A ChaosEngine is a SolverObserver that deterministically sabotages solves
 // according to a seed-driven policy: NaN residuals, singular-Jacobian
-// perturbations, iteration-cap breaches and artificial stalls. Installed
-// via ChaosScope (RAII over the global solver-observer registry), it lets
-// tests prove that the retry ladder and sweep quarantine paths actually
-// engage — the solver under test cannot tell injected faults from real
-// numerical fragility.
+// perturbations and iteration-cap breaches. Installed via ChaosScope (RAII
+// over the global solver-observer registry), it lets tests prove that the
+// retry ladder and sweep quarantine paths actually engage — the solver
+// under test cannot tell injected faults from real numerical fragility.
 //
 // Determinism: the decision to sabotage solve #k is a pure function of
 // (seed, k, ladder attempt index), so a chaos run is exactly reproducible
@@ -27,7 +26,6 @@ enum class ChaosFault {
   NanResidual,      // poisons the assembled residual with NaN
   SingularJacobian, // zeroes a Jacobian row so LU factorization fails
   IterationCap,     // keeps the residual huge so Newton burns its budget
-  Stall,            // sleeps every iteration (does not corrupt the system)
 };
 
 std::string chaos_fault_name(ChaosFault fault);
@@ -47,9 +45,6 @@ struct ChaosPolicy {
   std::vector<ChaosFault> faults = {ChaosFault::NanResidual,
                                     ChaosFault::SingularJacobian,
                                     ChaosFault::IterationCap};
-
-  // Stall: sleep this long per Newton iteration [s].
-  double stall_seconds = 0.0;
 };
 
 class ChaosEngine : public SolverObserver {

@@ -1,9 +1,7 @@
 #include "lpsram/runtime/retry_ladder.hpp"
 
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <thread>
+#include <array>
+#include <utility>
 
 #include "lpsram/spice/hooks.hpp"
 #include "lpsram/util/error.hpp"
@@ -11,11 +9,20 @@
 namespace lpsram {
 namespace {
 
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr std::array<SolveStrategy, kSolveStrategyCount> kLadder = {
+    SolveStrategy::WarmStart, SolveStrategy::ColdStart,
+    SolveStrategy::DenseGmin, SolveStrategy::RelaxedPolish,
+    SolveStrategy::PerturbedGuess};
+
+// RelaxedPolish: the relaxed pass multiplies the v/residual tolerances by
+// this.
+constexpr double kRelaxFactor = 1e4;
+
+// PerturbedGuess: number of guesses, amplitude of the per-node perturbation
+// [V] and the seed of the perturbation stream.
+constexpr int kPerturbAttempts = 3;
+constexpr double kPerturbMagnitude = 0.05;
+constexpr std::uint64_t kPerturbSeed = 0x5eedf00dULL;
 
 // SplitMix64: deterministic, seed-driven perturbation stream.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -30,82 +37,33 @@ double uniform_pm1(std::uint64_t hash) {
   return 2.0 * (static_cast<double>(hash >> 11) * 0x1.0p-53) - 1.0;
 }
 
-}  // namespace
-
-ResilientDcSolver::ResilientDcSolver(const Netlist& netlist, double temp_c,
-                                     DcOptions dc_options,
-                                     RetryLadderOptions options)
-    : netlist_(netlist),
-      temp_c_(temp_c),
-      dc_options_(std::move(dc_options)),
-      options_(std::move(options)) {}
-
-double ResilientDcSolver::now() const {
-  return options_.clock ? options_.clock() : steady_seconds();
-}
-
-void ResilientDcSolver::sleep_backoff(double seconds) const {
-  if (seconds <= 0.0) return;
-  if (options_.sleeper) {
-    options_.sleeper(seconds);
-  } else {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
-}
-
-void ResilientDcSolver::finish_success(SolveOutcome& outcome,
-                                       SolveStrategy strategy,
-                                       DcResult result) const {
+void accept(SolveOutcome& outcome, SolveStrategy strategy, DcResult result,
+            SolveStatus status = SolveStatus::Converged) {
+  outcome.status = status;
   outcome.strategy = strategy;
   outcome.iterations = result.iterations;
-  const DcSolver reporter(netlist_, temp_c_, dc_options_);
-  const ResidualReport report = reporter.residual_report(result.x);
-  outcome.worst_residual = report.worst;
-  outcome.worst_node = report.node;
   outcome.result = std::move(result);
-  if (outcome.status != SolveStatus::Degraded)
-    outcome.status = SolveStatus::Converged;
+  // A converged point meets full tolerance; the diagnostics of the rungs
+  // that failed before it no longer describe the outcome.
+  outcome.worst_residual = 0.0;
+  outcome.worst_node.clear();
 }
 
-bool ResilientDcSolver::run_strategy(SolveStrategy strategy,
-                                     const std::vector<double>* warm_start,
-                                     AttemptRecord& record,
-                                     SolveOutcome& outcome) const {
-  // Effective options for this attempt: per-attempt iteration budget plus a
-  // progress callback that counts every Newton iteration into the attempt
-  // record (so failed attempts report their real cost) and enforces the
-  // deadline inside Newton, so a stalled solve cannot outlive its budget.
-  DcOptions opts = dc_options_;
-  if (options_.iteration_budget > 0)
-    opts.max_iterations = options_.iteration_budget;
-  // Ladder-level cancel token reaches every Newton iteration of every rung
-  // (a caller-provided DcOptions::cancel takes precedence).
-  if (options_.cancel && !opts.cancel) opts.cancel = options_.cancel;
-  {
-    auto base_progress = dc_options_.progress;
-    int* counter = &record.iterations;
-    opts.progress = [counter, base_progress](const NewtonProgress& p) {
-      ++*counter;
-      if (base_progress) base_progress(p);
-    };
-  }
-  if (options_.deadline_s > 0.0) {
-    const double deadline = start_time_ + options_.deadline_s;
-    auto base_progress = opts.progress;
-    opts.progress = [this, deadline, base_progress](const NewtonProgress& p) {
-      if (base_progress) base_progress(p);
-      if (now() > deadline) {
-        SolveFailureInfo info;
-        info.deadline_s = options_.deadline_s;
-        info.elapsed_s = now() - start_time_;
-        info.iterations = p.iteration;
-        info.worst_residual = p.max_residual;
-        throw SolveTimeout("resilient solve: deadline exceeded mid-Newton",
-                           std::move(info));
-      }
-    };
-  }
+// Folds a failed solve into the outcome: the non-finite flag accumulates,
+// the worst residual and its node are the last divergence's.
+void note_failure(SolveOutcome& outcome, const ConvergenceError& error) {
+  const auto* divergence = dynamic_cast<const NewtonDivergence*>(&error);
+  if (divergence == nullptr) return;
+  outcome.non_finite = outcome.non_finite || divergence->info().non_finite;
+  outcome.worst_residual = divergence->info().worst_residual;
+  outcome.worst_node = divergence->info().worst_node;
+}
 
+// One ladder rung. Returns with `outcome` accepted, or throws the rung's
+// ConvergenceError (SolveTimeout when cancelled).
+void run_rung(SolveStrategy strategy, const Netlist& netlist, double temp_c,
+              const DcOptions& opts, const std::vector<double>* warm_start,
+              SolveOutcome& outcome) {
   switch (strategy) {
     case SolveStrategy::WarmStart: {
       // Pure Newton from the neighboring sweep point — cheap, no internal
@@ -113,16 +71,14 @@ bool ResilientDcSolver::run_strategy(SolveStrategy strategy,
       DcOptions warm = opts;
       warm.allow_gmin_stepping = false;
       warm.allow_source_stepping = false;
-      DcResult result = DcSolver(netlist_, temp_c_, warm).solve(warm_start);
-      finish_success(outcome, strategy, std::move(result));
-      return true;
+      accept(outcome, strategy,
+             DcSolver(netlist, temp_c, warm).solve(warm_start));
+      return;
     }
 
-    case SolveStrategy::ColdStart: {
-      DcResult result = DcSolver(netlist_, temp_c_, opts).solve();
-      finish_success(outcome, strategy, std::move(result));
-      return true;
-    }
+    case SolveStrategy::ColdStart:
+      accept(outcome, strategy, DcSolver(netlist, temp_c, opts).solve());
+      return;
 
     case SolveStrategy::DenseGmin: {
       // Half-decade gmin continuation driven from this layer: each step is
@@ -133,66 +89,68 @@ bool ResilientDcSolver::run_strategy(SolveStrategy strategy,
       step.allow_source_stepping = false;
       std::vector<double> x;
       const std::vector<double>* guess = warm_start;
-      for (double g = 1e-2; g > dc_options_.gmin; g *= 0.3162) {
+      for (double g = 1e-2; g > opts.gmin; g *= 0.3162) {
         step.gmin = g;
-        DcResult stage = DcSolver(netlist_, temp_c_, step).solve(guess);
+        DcResult stage = DcSolver(netlist, temp_c, step).solve(guess);
         x = std::move(stage.x);
         guess = &x;
       }
-      step.gmin = dc_options_.gmin;
-      DcResult result = DcSolver(netlist_, temp_c_, step).solve(guess);
-      finish_success(outcome, strategy, std::move(result));
-      return true;
+      step.gmin = opts.gmin;
+      accept(outcome, strategy, DcSolver(netlist, temp_c, step).solve(guess));
+      return;
     }
 
     case SolveStrategy::RelaxedPolish: {
       DcOptions relaxed = opts;
-      relaxed.v_tolerance = dc_options_.v_tolerance * options_.relax_factor;
-      relaxed.residual_tolerance =
-          dc_options_.residual_tolerance * options_.relax_factor;
-      DcResult coarse = DcSolver(netlist_, temp_c_, relaxed).solve(warm_start);
+      relaxed.v_tolerance *= kRelaxFactor;
+      relaxed.residual_tolerance *= kRelaxFactor;
+      DcResult coarse = DcSolver(netlist, temp_c, relaxed).solve(warm_start);
       // Polish at full tolerance, warm-started from the relaxed point.
       DcOptions tight = opts;
       tight.allow_gmin_stepping = false;
       tight.allow_source_stepping = false;
+      const DcSolver polisher(netlist, temp_c, tight);
       try {
-        DcResult polished = DcSolver(netlist_, temp_c_, tight).solve(&coarse.x);
-        finish_success(outcome, strategy, std::move(polished));
+        accept(outcome, strategy, polisher.solve(&coarse.x));
+      } catch (const SolveTimeout&) {
+        throw;
       } catch (const ConvergenceError&) {
         // The relaxed point is usable but below full tolerance: degrade
-        // gracefully rather than discarding it.
-        outcome.status = SolveStatus::Degraded;
-        finish_success(outcome, strategy, std::move(coarse));
+        // gracefully rather than discarding it, and report how far off it
+        // is.
+        const ResidualReport report = polisher.residual_report(coarse.x);
+        accept(outcome, strategy, std::move(coarse), SolveStatus::Degraded);
+        outcome.worst_residual = report.worst;
+        outcome.worst_node = report.node;
       }
-      return true;
+      return;
     }
 
     case SolveStrategy::PerturbedGuess: {
-      const std::size_t dim = SystemAssembler(netlist_, temp_c_).dimension();
+      const std::size_t dim = SystemAssembler(netlist, temp_c).dimension();
       std::vector<double> base(dim, 0.0);
       if (warm_start && warm_start->size() == dim) base = *warm_start;
       std::string last_error;
-      for (int k = 0; k < options_.perturb_attempts; ++k) {
+      for (int k = 0; k < kPerturbAttempts; ++k) {
         std::vector<double> guess = base;
         for (std::size_t i = 0; i < guess.size(); ++i) {
           const std::uint64_t h = splitmix64(
-              options_.seed ^ (static_cast<std::uint64_t>(k) << 32) ^ i);
-          guess[i] += options_.perturb_magnitude * uniform_pm1(h);
+              kPerturbSeed ^ (static_cast<std::uint64_t>(k) << 32) ^ i);
+          guess[i] += kPerturbMagnitude * uniform_pm1(h);
         }
         try {
-          DcResult result = DcSolver(netlist_, temp_c_, opts).solve(&guess);
-          finish_success(outcome, strategy, std::move(result));
-          return true;
+          accept(outcome, strategy,
+                 DcSolver(netlist, temp_c, opts).solve(&guess));
+          return;
         } catch (const SolveTimeout&) {
           throw;
         } catch (const ConvergenceError& e) {
-          if (const auto* nd = dynamic_cast<const NewtonDivergence*>(&e))
-            outcome.non_finite = outcome.non_finite || nd->info().non_finite;
+          note_failure(outcome, e);
           last_error = e.what();
         }
       }
       throw ConvergenceError("perturbed-guess: all " +
-                             std::to_string(options_.perturb_attempts) +
+                             std::to_string(kPerturbAttempts) +
                              " perturbations diverged (last: " + last_error +
                              ")");
     }
@@ -200,132 +158,82 @@ bool ResilientDcSolver::run_strategy(SolveStrategy strategy,
   throw ConvergenceError("unknown solve strategy");
 }
 
-SolveOutcome ResilientDcSolver::solve(
-    const std::vector<double>* warm_start) const {
-  SolveOutcome outcome;
-  start_time_ = now();
+}  // namespace
 
-  int escalation = 0;
-  for (const SolveStrategy strategy : options_.ladder) {
-    if (strategy == SolveStrategy::WarmStart &&
-        (warm_start == nullptr || warm_start->empty()))
+SolveOutcome solve_dc_resilient(const Netlist& netlist, double temp_c,
+                                const DcOptions& dc_options,
+                                const std::vector<double>* warm_start) {
+  if (warm_start != nullptr && warm_start->empty()) warm_start = nullptr;
+  SolveOutcome outcome;
+  for (const SolveStrategy strategy : kLadder) {
+    if (strategy == SolveStrategy::WarmStart && warm_start == nullptr)
       continue;  // nothing to warm-start from
 
     // Cancellation check between rungs (the token is also polled inside
-    // every Newton iteration via DcOptions::cancel).
-    const CancelToken* cancel =
-        options_.cancel ? options_.cancel : dc_options_.cancel;
-    if (cancel && cancel->cancelled()) {
+    // every Newton iteration).
+    if (dc_options.cancel && dc_options.cancel->cancelled()) {
       outcome.cancelled = true;
       outcome.error = "cancelled before strategy " + strategy_name(strategy);
       break;
     }
 
-    // Deadline check between rungs.
-    if (options_.deadline_s > 0.0 &&
-        now() - start_time_ > options_.deadline_s) {
-      outcome.timed_out = true;
-      outcome.error = "deadline exceeded before strategy " +
-                      strategy_name(strategy);
-      break;
-    }
+    if (SolverObserver* observer = solver_observer())
+      observer->on_ladder_attempt(outcome.attempts, strategy_name(strategy));
+    ++outcome.attempts;
 
+    // Every Newton iteration of the attempt counts into its record, so
+    // failed attempts report their real cost.
     AttemptRecord record;
     record.strategy = strategy;
-    if (escalation > 0 && options_.backoff_base_s > 0.0) {
-      record.backoff_s = std::min(
-          options_.backoff_base_s *
-              std::pow(options_.backoff_factor, escalation - 1),
-          options_.backoff_cap_s);
-      sleep_backoff(record.backoff_s);
-    }
-
-    if (SolverObserver* observer = solver_observer())
-      observer->on_ladder_attempt(escalation, strategy_name(strategy));
-
-    const double attempt_start = now();
-    ++outcome.attempts;
-    ++escalation;
+    DcOptions opts = dc_options;
+    opts.progress = [counter = &record.iterations,
+                     base = dc_options.progress](const NewtonProgress& p) {
+      ++*counter;
+      if (base) base(p);
+    };
     try {
-      const bool final = run_strategy(strategy, warm_start, record, outcome);
-      record.elapsed_s = now() - attempt_start;
-      record.converged = final;
-      outcome.history.push_back(std::move(record));
-      if (final) break;
+      run_rung(strategy, netlist, temp_c, opts, warm_start, outcome);
+      record.converged = true;
     } catch (const SolveTimeout& e) {
-      record.elapsed_s = now() - attempt_start;
       record.error = e.what();
-      outcome.history.push_back(std::move(record));
-      // A cancel trip and a deadline trip share the SolveTimeout channel;
-      // the info flag tells them apart.
-      if (e.info().cancelled)
-        outcome.cancelled = true;
-      else
-        outcome.timed_out = true;
-      outcome.non_finite = outcome.non_finite || e.info().non_finite;
+      outcome.cancelled = true;
       outcome.error = e.what();
-      break;
     } catch (const ConvergenceError& e) {
-      record.elapsed_s = now() - attempt_start;
       record.error = e.what();
-      outcome.history.push_back(std::move(record));
-      if (const auto* nd = dynamic_cast<const NewtonDivergence*>(&e))
-        outcome.non_finite = outcome.non_finite || nd->info().non_finite;
+      note_failure(outcome, e);
       outcome.error = e.what();  // escalate to the next rung
     }
+    outcome.history.push_back(std::move(record));
+    if (outcome.ok() || outcome.cancelled) break;
   }
-
-  outcome.elapsed_s = now() - start_time_;
   if (outcome.ok()) outcome.error.clear();
-  if (!outcome.ok() && outcome.error.empty())
-    outcome.error = "retry ladder empty or every rung skipped";
   return outcome;
 }
 
-void ResilientDcSolver::throw_outcome(const SolveOutcome& outcome) const {
+void throw_outcome(const SolveOutcome& outcome) {
   SolveFailureInfo info;
   info.attempts = outcome.attempts;
-  for (const AttemptRecord& a : outcome.history) info.iterations += a.iterations;
-  info.elapsed_s = outcome.elapsed_s;
-  info.deadline_s = options_.deadline_s;
+  for (const AttemptRecord& a : outcome.history) {
+    info.iterations += a.iterations;
+    if (!info.strategies.empty()) info.strategies += ",";
+    info.strategies += strategy_name(a.strategy);
+  }
   info.worst_residual = outcome.worst_residual;
   info.worst_node = outcome.worst_node;
   info.non_finite = outcome.non_finite;
   info.cancelled = outcome.cancelled;
-  for (const AttemptRecord& a : outcome.history) {
-    if (!info.strategies.empty()) info.strategies += ",";
-    info.strategies += strategy_name(a.strategy);
-  }
 
-  char buf[256];
+  const std::string attempts = std::to_string(outcome.attempts);
   if (outcome.cancelled) {
-    std::snprintf(buf, sizeof(buf),
-                  "SolveTimeout: cancelled by CancelToken after %d attempts "
-                  "(%.3f s elapsed; strategies: %s)",
-                  outcome.attempts, outcome.elapsed_s, info.strategies.c_str());
-    throw SolveTimeout(buf, std::move(info));
+    const std::string what = "SolveTimeout: cancelled by CancelToken after " +
+                             attempts + " attempts (strategies: " +
+                             info.strategies + ")";
+    throw SolveTimeout(what, std::move(info));
   }
-  if (outcome.timed_out) {
-    std::snprintf(buf, sizeof(buf),
-                  "SolveTimeout: deadline of %.3f s exceeded after %d "
-                  "attempts (%.3f s elapsed; strategies: %s)",
-                  options_.deadline_s, outcome.attempts, outcome.elapsed_s,
-                  info.strategies.c_str());
-    throw SolveTimeout(buf, std::move(info));
-  }
-  std::snprintf(buf, sizeof(buf),
-                "RetryExhausted: %d attempts failed in %.3f s (strategies: "
-                "%s; last error: %s)",
-                outcome.attempts, outcome.elapsed_s, info.strategies.c_str(),
-                outcome.error.c_str());
-  throw RetryExhausted(buf, std::move(info));
-}
-
-DcResult ResilientDcSolver::solve_or_throw(
-    const std::vector<double>* warm_start) const {
-  SolveOutcome outcome = solve(warm_start);
-  if (!outcome.ok()) throw_outcome(outcome);
-  return std::move(outcome.result);
+  const std::string what = "RetryExhausted: " + attempts +
+                           " attempts failed (strategies: " + info.strategies +
+                           "; last error: " + outcome.error + ")";
+  throw RetryExhausted(what, std::move(info));
 }
 
 }  // namespace lpsram

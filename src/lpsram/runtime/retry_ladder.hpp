@@ -1,13 +1,10 @@
-// Resilient solve-execution layer: wraps DcSolver in a configurable retry
-// ladder of escalating strategies, with per-attempt iteration budgets,
-// wall-clock deadline enforcement and exponential backoff between
-// escalations. Near-DRV operating points sit on the edge of bistability
-// where Newton is most fragile; this layer turns "one ConvergenceError
-// aborts the sweep" into a structured SolveOutcome the sweep drivers can
-// quarantine and account for.
+// Resilient solve-execution layer: runs DcSolver through a fixed ladder of
+// escalating strategies. Near-DRV operating points sit on the edge of
+// bistability where Newton is most fragile; this layer turns "one
+// ConvergenceError aborts the sweep" into a structured SolveOutcome the
+// sweep drivers can quarantine and account for.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "lpsram/runtime/solve_outcome.hpp"
@@ -15,91 +12,28 @@
 
 namespace lpsram {
 
-struct RetryLadderOptions {
-  // Escalation order. WarmStart rungs are skipped when the caller provides
-  // no warm start.
-  std::vector<SolveStrategy> ladder = {
-      SolveStrategy::WarmStart, SolveStrategy::ColdStart,
-      SolveStrategy::DenseGmin, SolveStrategy::RelaxedPolish,
-      SolveStrategy::PerturbedGuess};
+// Runs the retry ladder, in this fixed order:
+//   warm-start      pure Newton from `warm_start` (skipped when it is null
+//                   or empty), no internal fallbacks;
+//   cold-start      the stock DcSolver cascade from zero;
+//   dense-gmin      half-decade gmin continuation, each step warm-started;
+//   relaxed-polish  tolerances relaxed 1e4x, then a tight polish from the
+//                   relaxed point; when only the relaxed pass converges the
+//                   outcome is Degraded (usable, flagged);
+//   perturbed-guess 3 guesses perturbed by up to 0.05 V from seed 0x5eedf00d.
+// Every attempt runs under `dc_options`: `max_iterations` caps each Newton
+// attempt and `cancel` is polled between rungs and inside every Newton
+// iteration (a trip ends the ladder with outcome.cancelled set). A solve
+// keeps no state between calls. Never throws for convergence trouble —
+// inspect outcome.status (InvalidArgument still propagates: a malformed
+// warm start is a programming error, not numerical fragility).
+SolveOutcome solve_dc_resilient(
+    const Netlist& netlist, double temp_c, const DcOptions& dc_options = {},
+    const std::vector<double>* warm_start = nullptr);
 
-  // Per-attempt Newton iteration cap (0 = keep the DcOptions value).
-  int iteration_budget = 0;
-
-  // Wall-clock budget for the whole ladder [s]; 0 = no deadline. Enforced
-  // between rungs and, via the solver's progress callback, inside every
-  // Newton iteration — a stalled solve is cut off mid-attempt.
-  double deadline_s = 0.0;
-
-  // Exponential backoff slept before escalation k (k >= 1):
-  // min(backoff_base_s * backoff_factor^(k-1), backoff_cap_s). The default
-  // base of 0 disables sleeping — in-process numerical retries rarely
-  // benefit from waiting, but sweep drivers pacing a shared backend can
-  // turn it on.
-  double backoff_base_s = 0.0;
-  double backoff_factor = 2.0;
-  double backoff_cap_s = 0.1;
-
-  // RelaxedPolish: multiply v/residual tolerances by this for the relaxed
-  // pass; a tight warm-started polish follows. If only the relaxed pass
-  // converges the outcome is Degraded (usable, flagged).
-  double relax_factor = 1e4;
-
-  // PerturbedGuess: number of deterministic randomized guesses and the
-  // perturbation amplitude applied to node voltages [V].
-  int perturb_attempts = 3;
-  double perturb_magnitude = 0.05;
-  std::uint64_t seed = 0x5eedf00dULL;
-
-  // Injectable monotonic clock [s] and backoff sleeper — tests and the
-  // chaos harness substitute fakes so deadline paths are deterministic.
-  std::function<double()> clock;          // default: steady_clock
-  std::function<void(double)> sleeper;    // default: this_thread::sleep_for
-
-  // Cooperative cancellation: checked between rungs AND propagated into
-  // every DcSolver/TransientSolver attempt, where the Newton loops poll it
-  // per iteration. A trip surfaces as SolveTimeout with
-  // SolveFailureInfo::cancelled set; the point is quarantined, not lost.
-  // Non-owning; must outlive the solve.
-  const CancelToken* cancel = nullptr;
-};
-
-class ResilientDcSolver {
- public:
-  ResilientDcSolver(const Netlist& netlist, double temp_c,
-                    DcOptions dc_options = {}, RetryLadderOptions options = {});
-
-  // Runs the ladder; never throws for convergence trouble — inspect
-  // outcome.status. (InvalidArgument still propagates: a malformed warm
-  // start is a programming error, not numerical fragility.)
-  SolveOutcome solve(const std::vector<double>* warm_start = nullptr) const;
-
-  // Legacy-compatible wrapper: returns the DcResult or throws
-  // RetryExhausted / SolveTimeout with full diagnostic context.
-  DcResult solve_or_throw(const std::vector<double>* warm_start = nullptr) const;
-
-  // Builds the typed error for a failed outcome and throws it.
-  [[noreturn]] void throw_outcome(const SolveOutcome& outcome) const;
-
-  const RetryLadderOptions& options() const noexcept { return options_; }
-
- private:
-  double now() const;
-  void sleep_backoff(double seconds) const;
-
-  // One ladder rung. Fills `record`; returns true when `outcome` is final.
-  bool run_strategy(SolveStrategy strategy,
-                    const std::vector<double>* warm_start,
-                    AttemptRecord& record, SolveOutcome& outcome) const;
-
-  void finish_success(SolveOutcome& outcome, SolveStrategy strategy,
-                      DcResult result) const;
-
-  const Netlist& netlist_;
-  double temp_c_;
-  DcOptions dc_options_;
-  RetryLadderOptions options_;
-  mutable double start_time_ = 0.0;  // ladder start, for deadline math
-};
+// Throws the typed error for a failed outcome: SolveTimeout when a
+// CancelToken cut it off, RetryExhausted otherwise. The message and the
+// SolveFailureInfo are a function of the outcome alone.
+[[noreturn]] void throw_outcome(const SolveOutcome& outcome);
 
 }  // namespace lpsram

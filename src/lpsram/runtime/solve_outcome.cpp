@@ -25,20 +25,17 @@ std::string status_name(SolveStatus status) {
 }
 
 std::string SolveOutcome::summary() const {
-  char buf[192];
-  if (status == SolveStatus::Failed) {
-    std::snprintf(buf, sizeof(buf),
-                  "failed after %d attempts (%.1f ms)%s: %s", attempts,
-                  elapsed_s * 1e3, timed_out ? " [deadline]" : "",
-                  error.c_str());
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "%s via %s: %d iters, %.2e A residual at '%s', %.1f ms",
-                  status_name(status).c_str(), strategy_name(strategy).c_str(),
-                  iterations, worst_residual, worst_node.c_str(),
-                  elapsed_s * 1e3);
+  if (status == SolveStatus::Failed)
+    return "failed after " + std::to_string(attempts) + " attempts: " + error;
+  std::string s = status_name(status) + " via " + strategy_name(strategy) +
+                  ": " + std::to_string(iterations) + " iters";
+  if (status == SolveStatus::Degraded) {
+    char residual[64];
+    std::snprintf(residual, sizeof(residual), ", %.2e A residual at '",
+                  worst_residual);
+    s += residual + worst_node + "'";
   }
-  return buf;
+  return s;
 }
 
 void SolveTelemetry::record(const SolveOutcome& outcome) {
@@ -54,20 +51,20 @@ void SolveTelemetry::record(const SolveOutcome& outcome) {
     if (outcome.status == SolveStatus::Degraded) ++degraded;
   } else {
     ++failures;
-    if (outcome.timed_out || outcome.cancelled) ++timeouts;
-    if (outcome.cancelled) ++cancels;
+    if (outcome.cancelled) {
+      ++timeouts;
+      ++cancels;
+    }
   }
   if (outcome.non_finite) ++non_finite;
   for (const AttemptRecord& attempt : outcome.history)
     ++rung_attempts[static_cast<std::size_t>(attempt.strategy)];
-  last = outcome;
 }
 
 void SolveTelemetry::merge(const SolveTelemetry& other) {
   const auto mine = telemetry_counters(*this);
   const auto theirs = telemetry_counters(other);
   for (std::size_t i = 0; i < mine.size(); ++i) *mine[i] += *theirs[i];
-  if (other.solves > 0) last = other.last;
 }
 
 SolveTelemetry telemetry_delta(const SolveTelemetry& before,
@@ -77,7 +74,6 @@ SolveTelemetry telemetry_delta(const SolveTelemetry& before,
   const auto a = telemetry_counters(after);
   const auto b = telemetry_counters(before);
   for (std::size_t i = 0; i < out.size(); ++i) *out[i] = *a[i] - *b[i];
-  delta.last = after.last;
   return delta;
 }
 

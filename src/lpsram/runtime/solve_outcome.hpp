@@ -1,6 +1,6 @@
 // Structured result of a resilient DC solve: replaces throw-or-succeed with
 // a typed outcome carrying status, the strategy that produced the result,
-// iteration/residual/timing telemetry, and the full attempt history.
+// iteration/residual diagnostics, and the full attempt history.
 #pragma once
 
 #include <array>
@@ -12,7 +12,7 @@
 
 namespace lpsram {
 
-// The escalation rungs of the retry ladder, in their default order.
+// The escalation rungs of the retry ladder, in ladder order.
 enum class SolveStrategy {
   WarmStart,      // caller-provided guess (neighboring sweep point)
   ColdStart,      // zero guess, stock solver fallbacks
@@ -29,7 +29,7 @@ inline constexpr std::size_t kSolveStrategyCount = 5;
 enum class SolveStatus {
   Converged,  // full-tolerance operating point
   Degraded,   // relaxed-tolerance point accepted after polish failed
-  Failed,     // every rung exhausted (or deadline hit)
+  Failed,     // every rung exhausted (or cancelled)
 };
 
 std::string status_name(SolveStatus status);
@@ -39,8 +39,6 @@ struct AttemptRecord {
   SolveStrategy strategy = SolveStrategy::ColdStart;
   bool converged = false;
   int iterations = 0;      // Newton iterations consumed by the attempt
-  double elapsed_s = 0.0;  // wall-clock spent in the attempt [s]
-  double backoff_s = 0.0;  // backoff slept before the attempt [s]
   std::string error;       // failure message (empty on success)
 };
 
@@ -49,10 +47,11 @@ struct SolveOutcome {
   SolveStrategy strategy = SolveStrategy::ColdStart;  // rung that produced `result`
   int attempts = 0;             // ladder rungs tried
   int iterations = 0;           // Newton iterations of the winning attempt
-  double worst_residual = 0.0;  // max |KCL residual| of the final estimate [A]
-  std::string worst_node;       // node carrying the worst residual
-  double elapsed_s = 0.0;       // total wall-clock across all attempts [s]
-  bool timed_out = false;       // deadline cut the solve off
+  // Max |KCL residual| [A] and the node carrying it: the accepted point's
+  // when Degraded, the last divergence's when Failed; 0 and "" when
+  // Converged (full tolerance by construction).
+  double worst_residual = 0.0;
+  std::string worst_node;
   bool cancelled = false;       // a CancelToken cut the solve off
   bool non_finite = false;      // some attempt saw a NaN/Inf residual or step
   std::string error;            // failure description (empty unless Failed)
@@ -61,7 +60,7 @@ struct SolveOutcome {
 
   bool ok() const noexcept { return status != SolveStatus::Failed; }
 
-  // "converged via cold-start: 12 iters, 3.1e-13 A residual, 0.8 ms"
+  // "converged via cold-start: 12 iters"
   std::string summary() const;
 };
 
@@ -76,8 +75,8 @@ struct SolveTelemetry {
   std::uint64_t fallbacks = 0;   // warm start failed but a later rung recovered
   std::uint64_t degraded = 0;    // accepted a relaxed-tolerance solution
   std::uint64_t failures = 0;    // retry ladder exhausted
-  std::uint64_t timeouts = 0;    // deadline or cancellation enforced
-  std::uint64_t cancels = 0;     // subset of timeouts cut off by a CancelToken
+  std::uint64_t timeouts = 0;    // cut off by a CancelToken
+  std::uint64_t cancels = 0;     // the same count as timeouts
   std::uint64_t non_finite = 0;  // solves that saw a NaN/Inf residual or step
   // Ladder attempts per strategy, indexed by SolveStrategy: every entry of
   // every outcome's history counts, converged or not.
@@ -87,19 +86,15 @@ struct SolveTelemetry {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_stores = 0;
-  SolveOutcome last;             // most recent outcome, for inspection
 
   void record(const SolveOutcome& outcome);
-  // Adds `other`'s counters into this one. `last` becomes other.last when
-  // `other` saw any solve — merging per-task deltas in task-index order
-  // therefore reproduces the serial "most recent outcome" exactly.
+  // Adds `other`'s counters into this one.
   void merge(const SolveTelemetry& other);
   void reset() { *this = SolveTelemetry{}; }
 };
 
 // Pointers to every counter of `t` (const or not), in the one order
-// telemetry merges, subtracts and journals in. `last` is a snapshot, not a
-// counter.
+// telemetry merges, subtracts and journals in.
 template <typename Telemetry>
 auto telemetry_counters(Telemetry& t) {
   std::array<decltype(&t.solves), 11 + kSolveStrategyCount> counters{
@@ -114,8 +109,8 @@ auto telemetry_counters(Telemetry& t) {
 }
 
 // Counter-wise difference (after - before) of two snapshots of the same
-// telemetry instance; `last` is taken from `after`. Used by sweep drivers to
-// attribute solves to individual tasks.
+// telemetry instance. Used by sweep drivers to attribute solves to
+// individual tasks.
 SolveTelemetry telemetry_delta(const SolveTelemetry& before,
                                const SolveTelemetry& after);
 

@@ -73,7 +73,7 @@ StepOutcome apply_damped_step(const DcOptions& options, std::size_t n_nodes,
     progress.iteration = it + 1;
     progress.max_dv = max_dv;
     progress.max_residual = max_residual;
-    options.progress(progress);  // may throw (deadline enforcement)
+    options.progress(progress);  // may throw
   }
 
   // Converged when the full (unscaled) Newton step is tiny — at that point
@@ -85,9 +85,8 @@ StepOutcome apply_damped_step(const DcOptions& options, std::size_t n_nodes,
 }
 
 // Cooperative cancellation poll, shared by the DC and transient Newton
-// kernels. Cancellation surfaces through the same SolveTimeout channel as
-// deadline expiry so every quarantine/retry path already handles it; the
-// `cancelled` flag in the info tells the two apart.
+// kernels. Cancellation surfaces as SolveTimeout with the info's `cancelled`
+// flag set, which every quarantine/retry path handles.
 [[noreturn]] void throw_cancelled(const char* where, int iterations,
                                   double worst_residual) {
   SolveFailureInfo info;

@@ -14,8 +14,8 @@
 namespace lpsram {
 
 // Per-iteration progress snapshot delivered to DcOptions::progress. The
-// resilient runtime layer uses it to enforce wall-clock deadlines: the
-// callback may throw (e.g. SolveTimeout) to abort the solve mid-Newton.
+// resilient runtime layer counts each ladder attempt's Newton iterations
+// through it.
 struct NewtonProgress {
   int iteration = 0;       // 1-based within the current Newton attempt
   double max_dv = 0.0;     // largest node-voltage step this iteration [V]

@@ -4,11 +4,10 @@
 // ScopedSolverObserver); the DC solver reports every solve attempt and every
 // Newton iteration to it. Observers may *mutate* the assembled system —
 // that is the mechanism the runtime chaos harness uses to inject numerical
-// faults (NaN residuals, singular Jacobians, iteration-cap breaches,
-// artificial stalls) deterministically, without the solver knowing it is
-// under test. Observers may also throw to abort a solve (the resilient
-// runtime layer uses a per-options progress callback for its deadline, but
-// an observer throw propagates identically).
+// faults (NaN residuals, singular Jacobians, iteration-cap breaches)
+// deterministically, without the solver knowing it is under test. Observers
+// may also throw to abort a solve; the exception propagates out of
+// DcSolver::solve like any other.
 //
 // Threading model (PR 2): the global registry slot is atomic, so installing
 // or removing an observer is race-free even while sweeps run. Observer

@@ -99,13 +99,7 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::table(
                   .emplace(cs.index, std::make_unique<RegulatorCharacterizer>(
                                          tech_, load, options_.flip))
                   .first;
-      if (options_.cancel) {
-        // Thread the campaign's cancel token into every retry-ladder solve
-        // of this characterizer (polled per Newton iteration).
-        RetryLadderOptions policy;
-        policy.cancel = options_.cancel;
-        found->second->set_solve_policy(policy);
-      }
+      found->second->set_cancel(options_.cancel);
     }
     return *found->second;
   };

@@ -126,12 +126,7 @@ DetectionMatrix FlowOptimizer::build_matrix(
     if (!characterizer) {
       characterizer =
           std::make_unique<RegulatorCharacterizer>(tech_, load, options_.flip);
-      if (options_.cancel) {
-        // Cancel token reaches every Newton iteration of every probe solve.
-        RetryLadderOptions policy;
-        policy.cancel = options_.cancel;
-        characterizer->set_solve_policy(policy);
-      }
+      characterizer->set_cancel(options_.cancel);
     }
     characterizer->set_solve_cache(sweep_task.cache, sweep_task.key);
     sweep_task.count_solves(

@@ -25,8 +25,6 @@ class ConvergenceError : public Error {
 struct SolveFailureInfo {
   int attempts = 0;           // retry-ladder attempts consumed
   int iterations = 0;         // Newton iterations across all attempts
-  double elapsed_s = 0.0;     // wall-clock time spent on this solve [s]
-  double deadline_s = 0.0;    // deadline in force (0 = none) [s]
   double worst_residual = 0.0;  // max |KCL residual| at the best estimate [A]
   std::string worst_node;     // node carrying the worst residual
   std::string strategies;     // comma-separated list of strategies tried
@@ -34,8 +32,7 @@ struct SolveFailureInfo {
   // distinguishes genuine divergence / injected NaN faults from a solve
   // that merely stalled short of tolerance.
   bool non_finite = false;
-  // True when the solve was cut off by a CancelToken rather than by its
-  // wall-clock deadline (both surface as SolveTimeout).
+  // True when the solve was cut off by a CancelToken (SolveTimeout).
   bool cancelled = false;
 };
 
@@ -66,7 +63,9 @@ class RetryExhausted : public ConvergenceError {
   SolveFailureInfo info_;
 };
 
-// Thrown when a solve is cut off by its wall-clock deadline.
+// Thrown when a CancelToken cuts a solve off (SolveFailureInfo::cancelled is
+// set). Quarantine records journal this type name, so it keeps the name it
+// had when wall-clock deadlines raised it too.
 class SolveTimeout : public ConvergenceError {
  public:
   SolveTimeout(const std::string& what, SolveFailureInfo info)

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -586,6 +587,77 @@ TEST(ManifestFold, PinnedUnderDefaultsAndMovedByEveryFoldedReference) {
   EXPECT_EQ(fold_under(&KernelConfig::yield_exact), kDefaults);
 }
 
+// ---------- quarantined tasks journal the same bytes on every run ------------
+
+// Every task payload of a campaign journal, by task key.
+std::map<std::uint64_t, std::vector<std::uint8_t>> journaled_payloads(
+    const std::string& path) {
+  std::map<std::uint64_t, std::vector<std::uint8_t>> payloads;
+  for (auto& [key, task] : read_campaign_snapshot(path).tasks)
+    payloads.emplace(key, std::move(task.payload));
+  return payloads;
+}
+
+// A quarantined task's payload carries its failure reason. Two runs of a
+// sweep must journal the same bytes for it: the fabric's merge accepts a
+// task committed twice only if both payloads are byte-identical.
+TEST(JournalBytes, QuarantinedRegulationProbesRepeatByteForByte) {
+  ChaosPolicy policy;
+  policy.first_attempt_failure_rate = 1.0;
+  policy.retry_failure_rate = 1.0;  // every probe exhausts its ladder
+  policy.faults = {ChaosFault::NanResidual};
+  const auto run = [&policy](int threads, const std::string& name) {
+    const std::string path = journal_path(name);
+    {
+      ChaosEngine chaos(policy);
+      const ChaosScope scope(chaos);
+      Campaign campaign(path);
+      SweepReport report;
+      measure_regulation(tech(), Corner::Typical, VrefLevel::V070, &report,
+                         nullptr, threads, &campaign);
+      EXPECT_EQ(report.completed(), 0u);
+      EXPECT_GT(report.quarantined_count(), 0u);
+    }
+    return journaled_payloads(path);
+  };
+  const auto golden = run(1, "bytes_regulation_t1a.journal");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(run(1, "bytes_regulation_t1b.journal"), golden);
+  EXPECT_EQ(run(4, "bytes_regulation_t4a.journal"), golden);
+  EXPECT_EQ(run(4, "bytes_regulation_t4b.journal"), golden);
+}
+
+TEST(JournalBytes, ChaosTableIISliceRepeatsByteForByte) {
+  // The slice's chaos mixture with every retry sabotaged: a task whose
+  // ladder is attacked at all is quarantined.
+  ChaosPolicy policy = slice_chaos_policy();
+  policy.retry_failure_rate = 1.0;
+  const auto run = [&policy](int threads, const std::string& name) {
+    const std::string path = journal_path(name);
+    {
+      ChaosEngine chaos(policy);
+      const ChaosScope scope(chaos);
+      Campaign campaign(path);
+      const DefectCharacterizer ch(tech(),
+                                   slice_options(threads, true, &campaign));
+      const std::vector<DefectId> defects = {16, 19};
+      const std::vector<CaseStudy> cs = {case_study(1, true)};
+      const auto rows = ch.table(defects, cs);
+      std::size_t quarantined = 0;
+      for (const auto& row : rows)
+        for (const DefectCsResult& cell : row)
+          quarantined += cell.sweep.quarantined_count();
+      EXPECT_GT(quarantined, 0u);
+    }
+    return journaled_payloads(path);
+  };
+  const auto golden = run(1, "bytes_slice_t1a.journal");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(run(1, "bytes_slice_t1b.journal"), golden);
+  EXPECT_EQ(run(4, "bytes_slice_t4a.journal"), golden);
+  EXPECT_EQ(run(4, "bytes_slice_t4b.journal"), golden);
+}
+
 // ---------- cooperative cancellation ----------------------------------------
 
 TEST(Cancellation, CancelledTokenQuarantinesEveryPointAsSolveTimeout) {
@@ -618,10 +690,9 @@ TEST(Cancellation, LadderPollsTokenInsideNewton) {
 
   CancelToken token;
   token.cancel();
-  RetryLadderOptions options;
+  DcOptions options;
   options.cancel = &token;
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, options);
-  const SolveOutcome outcome = solver.solve();
+  const SolveOutcome outcome = solve_dc_resilient(n, 25.0, options);
   EXPECT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.cancelled);
 
@@ -632,18 +703,16 @@ TEST(Cancellation, LadderPollsTokenInsideNewton) {
 
   // The typed throw carries the cancelled flag to fail-fast callers.
   try {
-    solver.throw_outcome(outcome);
+    throw_outcome(outcome);
     FAIL() << "expected SolveTimeout";
   } catch (const SolveTimeout& e) {
     EXPECT_TRUE(e.info().cancelled);
   }
 
-  // Un-cancelled, the same solver converges normally.
+  // Un-cancelled, the same solve converges normally.
   CancelToken fresh;
-  RetryLadderOptions clean = options;
-  clean.cancel = &fresh;
-  const ResilientDcSolver ok_solver(n, 25.0, DcOptions{}, clean);
-  EXPECT_TRUE(ok_solver.solve().ok());
+  options.cancel = &fresh;
+  EXPECT_TRUE(solve_dc_resilient(n, 25.0, options).ok());
 }
 
 TEST(Cancellation, FailFastPropagatesSolveTimeoutWithCancelledFlag) {

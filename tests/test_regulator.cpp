@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "lpsram/cell/batch_vtc.hpp"
 #include "lpsram/cell/snm.hpp"
 #include "lpsram/regulator/characterize.hpp"
+#include "lpsram/spice/hooks.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/kernel_config.hpp"
 
@@ -255,6 +258,114 @@ TEST(Regulator, Df11StaleFeedbackCausesUndershoot) {
   const Waveform w = faulty.simulate_ds_entry(30e-6, 125.0);
   // The stale feedback makes Vreg undershoot well below the healthy entry.
   EXPECT_LT(w.min_value(0), base.min_value(0) - 0.05);
+}
+
+// ---------- retry ladder on real inputs ---------------------------------------
+
+// The one operating point of a 61,200-point cold-start census (2 loads x 5
+// corners x 17 Table II defects x 10 resistance decades x 3 VDD x 3
+// temperatures x 4 Vref) that cold-start and dense-gmin cannot solve: sf,
+// Df32 = 10 Mohm, VDD 1.0 V, -30 C, Vref 0.64*VDD, 64 weak cells at DRV
+// 0.45 V. It reaches a rescue rung without injected faults, so it also pins
+// the ladder order.
+TEST(RegulatorLadder, CollapsedPointIsRescuedByRelaxedPolish) {
+  ArrayLoadModel::Options load;
+  load.weak_cells = 64;
+  load.weak_drv = 0.45;
+  VoltageRegulator reg(tech(), Corner::SlowNFastP, load);
+  reg.inject_defect(32, 1e7);
+  reg.set_vdd(1.0);
+  reg.select_vref(VrefLevel::V064);
+  const SolveOutcome out = reg.solve_dc_outcome(-30.0);
+
+  ASSERT_EQ(out.history.size(), 3u);
+  EXPECT_EQ(out.history[0].strategy, SolveStrategy::ColdStart);
+  EXPECT_FALSE(out.history[0].converged);
+  EXPECT_EQ(out.history[1].strategy, SolveStrategy::DenseGmin);
+  EXPECT_FALSE(out.history[1].converged);
+  EXPECT_EQ(out.history[2].strategy, SolveStrategy::RelaxedPolish);
+  EXPECT_TRUE(out.history[2].converged);
+  EXPECT_EQ(out.status, SolveStatus::Degraded);
+  EXPECT_EQ(out.strategy, SolveStrategy::RelaxedPolish);
+  // The accepted point misses full tolerance at the regulated rail.
+  EXPECT_EQ(out.worst_node, "vddcc");
+  EXPECT_GT(out.worst_residual, DcOptions{}.residual_tolerance);
+  EXPECT_EQ(reg.solve_telemetry().degraded, 1u);
+}
+
+// Trips `token` at the `at`-th Newton iteration (0-based) reported to solver
+// observers, and counts the iterations either way.
+class CancelAtIteration : public SolverObserver {
+ public:
+  CancelAtIteration(CancelToken& token, int at) : token_(token), at_(at) {}
+  void on_newton_iteration(NewtonEvent&) override {
+    if (seen_++ == at_) token_.cancel();
+  }
+  int seen() const noexcept { return seen_; }
+
+ private:
+  CancelToken& token_;
+  int at_;
+  int seen_ = 0;
+};
+
+// The regulator's cancel token reaches the DS-entry transients, not only
+// its DC solves. Tripped on the last (converging) Newton iteration of the
+// ACT operating point, it lets that solve finish without another poll, so
+// only the transient can see it.
+TEST(RegulatorCancel, DsEntryTransientsPollTheRegulatorsToken) {
+  constexpr DefectId kId = 8;  // a gate site: these run the lane batch
+  constexpr double kOhms = 1e6;
+  const auto fresh = [] {
+    auto reg = std::make_unique<VoltageRegulator>(tech(), Corner::Typical);
+    reg->inject_defect(kId, kOhms);
+    return reg;
+  };
+
+  // Newton iterations of the ACT solve, counted on a twin regulator.
+  int act_iterations = 0;
+  {
+    const auto twin = fresh();
+    twin->set_power_switch(true);
+    twin->set_regon(false);
+    CancelToken unused;
+    CancelAtIteration counter(unused, -1);
+    const ScopedSolverObserver scope(&counter);
+    twin->solve_dc(25.0);
+    act_iterations = counter.seen();
+  }
+  ASSERT_GT(act_iterations, 0);
+
+  const auto expect_transient_cancelled = [&](const auto& entry) {
+    const auto reg = fresh();
+    CancelToken token;
+    reg->set_cancel(&token);
+    CancelAtIteration trip(token, act_iterations - 1);
+    const ScopedSolverObserver scope(&trip);
+    try {
+      entry(*reg);
+      FAIL() << "the transient ran past a cancelled token";
+    } catch (const SolveTimeout& e) {
+      EXPECT_TRUE(e.info().cancelled);
+      EXPECT_NE(std::string(e.what()).find("TransientSolver"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(reg->solve_telemetry().cancels, 0u);  // ACT solve converged
+  };
+  {
+    SCOPED_TRACE("simulate_ds_entry");
+    expect_transient_cancelled(
+        [](VoltageRegulator& reg) { reg.simulate_ds_entry(20e-6, 25.0); });
+  }
+  {
+    SCOPED_TRACE("simulate_ds_entry_lanes");
+    const std::vector<double> ohms = {kOhms};
+    expect_transient_cancelled([&ohms](VoltageRegulator& reg) {
+      reg.simulate_ds_entry_lanes(kId, ohms, 20e-6, 25.0);
+    });
+  }
 }
 
 // ---------- characterizer ----------------------------------------------------

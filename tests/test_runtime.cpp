@@ -1,10 +1,10 @@
 // Tests for the resilient solve runtime: non-convergence paths of rootfind
-// and DcSolver, the retry ladder (every strategy, budgets, backoff,
-// deadlines), the chaos fault-injection harness, and graceful degradation
+// and DcSolver, the retry ladder (every strategy, iteration caps, failure
+// diagnostics), the chaos fault-injection harness, and graceful degradation
 // of the Table II sweep under injected solver failures.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -55,12 +55,16 @@ class FailFirstSolves : public SolverObserver {
   bool poison_ = false;
 };
 
-// Poisons exactly one solve call, identified by its 0-based index.
-class FailOnlySolve : public SolverObserver {
+// Poisons the solve calls whose 0-based indices are listed.
+class FailSolvesAt : public SolverObserver {
  public:
-  explicit FailOnlySolve(int target) : target_(target) {}
+  explicit FailSolvesAt(std::vector<int> targets)
+      : targets_(std::move(targets)) {}
 
-  void on_solve_begin() override { poison_ = index_++ == target_; }
+  void on_solve_begin() override {
+    poison_ = std::find(targets_.begin(), targets_.end(), index_++) !=
+              targets_.end();
+  }
   void on_newton_iteration(NewtonEvent& event) override {
     if (!poison_) return;
     for (double& r : *event.residual)
@@ -68,7 +72,7 @@ class FailOnlySolve : public SolverObserver {
   }
 
  private:
-  int target_;
+  std::vector<int> targets_;
   int index_ = 0;
   bool poison_ = false;
 };
@@ -163,21 +167,25 @@ TEST(DcSolver, ResidualReportNamesWorstNode) {
 }
 
 // ---------- retry ladder: every strategy fires ----------------------------
+//
+// The ladder is fixed (warm-start, cold-start, dense-gmin, relaxed-polish,
+// perturbed-guess), so a test reaches a rung by failing the solves of the
+// rungs before it. Solve-call indices without a warm start: 0 = cold-start,
+// 1 = dense-gmin's first gmin stage (its failure ends the rung), 2 = the
+// relaxed pass, 3 = the polish after a relaxed pass that converged.
 
 TEST(RetryLadder, ColdStartThenWarmStart) {
   const Netlist n = divider();
-  const ResilientDcSolver solver(n, 25.0);
 
-  const SolveOutcome cold = solver.solve();
+  const SolveOutcome cold = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(cold.status, SolveStatus::Converged);
   EXPECT_EQ(cold.strategy, SolveStrategy::ColdStart);  // warm rung skipped
   EXPECT_EQ(cold.attempts, 1);
   EXPECT_NEAR(cold.result.node_v[n.node("mid")], 0.5, 1e-6);
-  EXPECT_LT(cold.worst_residual, 1e-9);
   EXPECT_NE(cold.summary().find("cold-start"), std::string::npos);
 
-  const SolveOutcome warm = solver.solve(&cold.result.x);
+  const SolveOutcome warm = solve_dc_resilient(n, 25.0, {}, &cold.result.x);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.strategy, SolveStrategy::WarmStart);
   EXPECT_EQ(warm.attempts, 1);
@@ -185,8 +193,7 @@ TEST(RetryLadder, ColdStartThenWarmStart) {
 
 TEST(RetryLadder, WarmFailureEscalatesToColdStart) {
   const Netlist n = divider();
-  const ResilientDcSolver solver(n, 25.0);
-  const SolveOutcome base = solver.solve();
+  const SolveOutcome base = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(base.ok());
 
   ChaosPolicy policy;
@@ -195,7 +202,7 @@ TEST(RetryLadder, WarmFailureEscalatesToColdStart) {
   ChaosEngine chaos(policy);
   ChaosScope scope(chaos);
 
-  const SolveOutcome out = solver.solve(&base.result.x);
+  const SolveOutcome out = solve_dc_resilient(n, 25.0, {}, &base.result.x);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.strategy, SolveStrategy::ColdStart);
   EXPECT_EQ(out.attempts, 2);
@@ -211,8 +218,7 @@ TEST(RetryLadder, DenseGminStrategyFires) {
   const Netlist n = divider();
   FailFirstSolves fail(1);  // cold-start rung dies, dense-gmin recovers
   ScopedSolverObserver scope(&fail);
-  const ResilientDcSolver solver(n, 25.0);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.strategy, SolveStrategy::DenseGmin);
   EXPECT_EQ(out.attempts, 2);
@@ -221,155 +227,96 @@ TEST(RetryLadder, DenseGminStrategyFires) {
 
 TEST(RetryLadder, RelaxedPolishStrategyFires) {
   const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::ColdStart, SolveStrategy::RelaxedPolish};
-  FailFirstSolves fail(1);  // only the cold-start rung dies
+  FailFirstSolves fail(2);  // cold-start and dense-gmin die
   ScopedSolverObserver scope(&fail);
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.status, SolveStatus::Converged);  // polish succeeded
   EXPECT_EQ(out.strategy, SolveStrategy::RelaxedPolish);
-  EXPECT_EQ(out.attempts, 2);
+  EXPECT_EQ(out.attempts, 3);
+  EXPECT_TRUE(out.worst_node.empty());  // full tolerance: no residual report
 }
 
 TEST(RetryLadder, PerturbedGuessStrategyFires) {
   const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::ColdStart, SolveStrategy::RelaxedPolish,
-                SolveStrategy::PerturbedGuess};
-  // Cold-start and the relaxed coarse pass die; the first perturbed guess
-  // (third solve) runs clean.
-  FailFirstSolves fail(2);
+  // Cold-start, dense-gmin and the relaxed pass die; the first perturbed
+  // guess (fourth solve) runs clean.
+  FailFirstSolves fail(3);
   ScopedSolverObserver scope(&fail);
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.strategy, SolveStrategy::PerturbedGuess);
-  EXPECT_EQ(out.attempts, 3);
+  EXPECT_EQ(out.attempts, 4);
   EXPECT_NEAR(out.result.node_v[n.node("mid")], 0.5, 1e-6);
 }
 
 TEST(RetryLadder, PolishFailureDegradesGracefully) {
   const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::RelaxedPolish};
-  FailOnlySolve fail(1);  // solve 0 = relaxed coarse, solve 1 = tight polish
+  // Cold-start and dense-gmin die, the relaxed pass (solve 2) converges and
+  // its tight polish (solve 3) dies.
+  FailSolvesAt fail({0, 1, 3});
   ScopedSolverObserver scope(&fail);
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   EXPECT_EQ(out.status, SolveStatus::Degraded);
   EXPECT_TRUE(out.ok());  // degraded results are usable, just flagged
   EXPECT_EQ(out.strategy, SolveStrategy::RelaxedPolish);
   EXPECT_NEAR(out.result.node_v[n.node("mid")], 0.5, 1e-3);
+  EXPECT_FALSE(out.worst_node.empty());  // the accepted point's residual
 }
 
-// ---------- retry ladder: budgets, backoff, deadline ----------------------
+TEST(RetryLadder, CancelDuringPolishIsNotDegraded) {
+  // As above, but the token trips as the polish (solve 3) begins: the
+  // ladder reports the cancellation instead of accepting the relaxed point.
+  class CancelAtPolish : public FailSolvesAt {
+   public:
+    explicit CancelAtPolish(CancelToken& token)
+        : FailSolvesAt({0, 1}), token_(token) {}
+    void on_solve_begin() override {
+      FailSolvesAt::on_solve_begin();
+      if (index_++ == 3) token_.cancel();
+    }
+
+   private:
+    CancelToken& token_;
+    int index_ = 0;
+  };
+  const Netlist n = divider();
+  CancelToken token;
+  CancelAtPolish observer(token);
+  ScopedSolverObserver scope(&observer);
+  DcOptions options;
+  options.cancel = &token;
+  const SolveOutcome out = solve_dc_resilient(n, 25.0, options);
+  EXPECT_EQ(out.status, SolveStatus::Failed);
+  EXPECT_TRUE(out.cancelled);
+  ASSERT_EQ(out.history.size(), 3u);
+  EXPECT_EQ(out.history[2].strategy, SolveStrategy::RelaxedPolish);
+  EXPECT_FALSE(out.history[2].converged);
+}
+
+// ---------- retry ladder: iteration cap, diagnostics ----------------------
 
 TEST(RetryLadder, IterationBudgetCapsEachAttempt) {
   const Netlist n = divider();
-  const ResilientDcSolver clean(n, 25.0);
-  const SolveOutcome base = clean.solve();
+  const SolveOutcome base = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(base.ok());
 
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::WarmStart};  // pure Newton, no fallbacks
-  opt.iteration_budget = 3;
   ChaosPolicy policy;
   policy.first_attempt_failure_rate = 1.0;
   policy.faults = {ChaosFault::IterationCap};  // residual never shrinks
   ChaosEngine chaos(policy);
   ChaosScope scope(chaos);
 
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve(&base.result.x);
-  EXPECT_EQ(out.status, SolveStatus::Failed);
-  EXPECT_EQ(out.attempts, 1);
-  // One injection per Newton iteration: the budget cut the attempt at 3.
+  DcOptions capped;
+  capped.max_iterations = 3;
+  const SolveOutcome out = solve_dc_resilient(n, 25.0, capped, &base.result.x);
+  // The warm-start rung (pure Newton, no fallbacks) is the only sabotaged
+  // one: one injection per Newton iteration, so the cap cut it at 3.
+  ASSERT_FALSE(out.history.empty());
+  EXPECT_EQ(out.history[0].strategy, SolveStrategy::WarmStart);
+  EXPECT_FALSE(out.history[0].converged);
+  EXPECT_EQ(out.history[0].iterations, 3);
   EXPECT_EQ(chaos.injections(ChaosFault::IterationCap), 3u);
-}
-
-TEST(RetryLadder, BackoffScheduleIsExponentialAndCapped) {
-  const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::ColdStart, SolveStrategy::RelaxedPolish,
-                SolveStrategy::PerturbedGuess};
-  opt.backoff_base_s = 0.01;
-  opt.backoff_factor = 2.0;
-  opt.backoff_cap_s = 0.015;
-  double fake_time = 0.0;
-  std::vector<double> sleeps;
-  opt.clock = [&fake_time] { return fake_time; };
-  opt.sleeper = [&](double s) {
-    sleeps.push_back(s);
-    fake_time += s;
-  };
-  FailFirstSolves fail(2);  // escalate twice
-  ScopedSolverObserver scope(&fail);
-
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.strategy, SolveStrategy::PerturbedGuess);
-  ASSERT_EQ(sleeps.size(), 2u);
-  EXPECT_DOUBLE_EQ(sleeps[0], 0.01);   // base * factor^0
-  EXPECT_DOUBLE_EQ(sleeps[1], 0.015);  // base * factor^1 clipped to the cap
-  ASSERT_EQ(out.history.size(), 3u);
-  EXPECT_DOUBLE_EQ(out.history[0].backoff_s, 0.0);
-  EXPECT_DOUBLE_EQ(out.history[1].backoff_s, 0.01);
-  EXPECT_DOUBLE_EQ(out.history[2].backoff_s, 0.015);
-}
-
-TEST(RetryLadder, DeadlineEnforcedBetweenRungs) {
-  const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.deadline_s = 0.5;
-  double fake_time = 0.0;
-  opt.clock = [&fake_time] { return fake_time += 1.0; };  // 1 s per reading
-
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
-  EXPECT_TRUE(out.timed_out);
-  EXPECT_EQ(out.status, SolveStatus::Failed);
-  EXPECT_EQ(out.attempts, 0);  // budget gone before the first rung started
-  EXPECT_NE(out.error.find("deadline exceeded"), std::string::npos);
-
-  try {
-    solver.solve_or_throw();
-    FAIL() << "expected SolveTimeout";
-  } catch (const SolveTimeout& e) {
-    EXPECT_DOUBLE_EQ(e.info().deadline_s, 0.5);
-    EXPECT_EQ(error_type_name(e), "SolveTimeout");
-  }
-}
-
-TEST(RetryLadder, StalledSolveCutOffByDeadline) {
-  // A chaos-stalled solve sleeps 50 ms per Newton iteration; the 20 ms
-  // deadline must cut it off mid-attempt instead of letting it run the full
-  // ladder (which would stall for every rung and iteration).
-  const Netlist n = divider();
-  RetryLadderOptions opt;
-  opt.deadline_s = 0.02;
-  ChaosPolicy policy;
-  policy.first_attempt_failure_rate = 1.0;
-  policy.retry_failure_rate = 1.0;
-  policy.faults = {ChaosFault::Stall};
-  policy.stall_seconds = 0.05;
-  ChaosEngine chaos(policy);
-  ChaosScope scope(chaos);
-
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const auto t0 = std::chrono::steady_clock::now();
-  const SolveOutcome out = solver.solve();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_TRUE(out.timed_out);
-  EXPECT_EQ(out.status, SolveStatus::Failed);
-  EXPECT_NE(out.error.find("deadline"), std::string::npos);
-  EXPECT_LT(elapsed, 5.0);  // far below what un-cut stalls would take
-  EXPECT_GT(chaos.injections(ChaosFault::Stall), 0u);
-  EXPECT_THROW(solver.solve_or_throw(), SolveTimeout);
 }
 
 TEST(RetryLadder, ExhaustionCarriesFullDiagnostics) {
@@ -380,18 +327,20 @@ TEST(RetryLadder, ExhaustionCarriesFullDiagnostics) {
   n.add_isource("I1", kGround, node, 1e-3);
   n.add_capacitor("C1", node, kGround, 1e-12);
 
-  const ResilientDcSolver solver(n, 25.0);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   EXPECT_EQ(out.status, SolveStatus::Failed);
   EXPECT_EQ(out.attempts, 4);  // warm rung skipped without a warm start
   EXPECT_FALSE(out.error.empty());
 
   try {
-    solver.throw_outcome(out);
+    throw_outcome(out);
     FAIL() << "expected RetryExhausted";
   } catch (const RetryExhausted& e) {
     EXPECT_EQ(e.info().attempts, 4);
     EXPECT_GT(e.info().iterations, 0);
+    // The last divergence names the node whose KCL cannot be met.
+    EXPECT_EQ(e.info().worst_node, "nfloat");
+    EXPECT_GT(e.info().worst_residual, 0.0);
     EXPECT_NE(e.info().strategies.find("cold-start"), std::string::npos);
     EXPECT_NE(e.info().strategies.find("dense-gmin"), std::string::npos);
     EXPECT_NE(e.info().strategies.find("perturbed-guess"), std::string::npos);
@@ -436,8 +385,7 @@ TEST(Chaos, RetryRateTargetsEscalationsOnly) {
   policy.retry_failure_rate = 1.0;  // would kill retries — none should happen
   ChaosEngine chaos(policy);
   ChaosScope scope(chaos);
-  const ResilientDcSolver solver(n, 25.0);
-  const SolveOutcome out = solver.solve();
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(chaos.solves_sabotaged(), 0u);
@@ -447,15 +395,13 @@ TEST(Chaos, SingularJacobianInjectionEscalatesCleanly) {
   const Netlist n = divider();
   ChaosPolicy policy;
   policy.first_attempt_failure_rate = 1.0;
+  policy.retry_failure_rate = 1.0;
   policy.faults = {ChaosFault::SingularJacobian};
   ChaosEngine chaos(policy);
   ChaosScope scope(chaos);
 
-  RetryLadderOptions opt;
-  opt.ladder = {SolveStrategy::ColdStart};
-  const ResilientDcSolver solver(n, 25.0, DcOptions{}, opt);
-  const SolveOutcome out = solver.solve();
-  EXPECT_EQ(out.status, SolveStatus::Failed);  // single rung, all sabotaged
+  const SolveOutcome out = solve_dc_resilient(n, 25.0);
+  EXPECT_EQ(out.status, SolveStatus::Failed);  // every rung sabotaged
   EXPECT_GT(chaos.injections(ChaosFault::SingularJacobian), 0u);
   EXPECT_FALSE(out.error.empty());
 }
@@ -465,7 +411,6 @@ TEST(Chaos, FaultNames) {
   EXPECT_EQ(chaos_fault_name(ChaosFault::SingularJacobian),
             "singular-jacobian");
   EXPECT_EQ(chaos_fault_name(ChaosFault::IterationCap), "iteration-cap");
-  EXPECT_EQ(chaos_fault_name(ChaosFault::Stall), "stall");
 }
 
 // ---------- quarantine / SweepReport ---------------------------------------
@@ -533,10 +478,10 @@ TEST(SolveTelemetry, CountersTrackOutcomeKinds) {
   degraded.strategy = SolveStrategy::RelaxedPolish;
   t.record(degraded);
 
-  SolveOutcome timeout;
-  timeout.status = SolveStatus::Failed;
-  timeout.timed_out = true;
-  t.record(timeout);
+  SolveOutcome cancelled;
+  cancelled.status = SolveStatus::Failed;
+  cancelled.cancelled = true;
+  t.record(cancelled);
 
   EXPECT_EQ(t.solves, 4u);
   EXPECT_EQ(t.warm_hits, 1u);
@@ -544,6 +489,7 @@ TEST(SolveTelemetry, CountersTrackOutcomeKinds) {
   EXPECT_EQ(t.degraded, 1u);
   EXPECT_EQ(t.failures, 1u);
   EXPECT_EQ(t.timeouts, 1u);
+  EXPECT_EQ(t.cancels, 1u);
 
   t.reset();
   EXPECT_EQ(t.solves, 0u);
@@ -572,7 +518,10 @@ TEST(RegulatorTelemetry, WarmFallbackIsCountedNotSwallowed) {
   EXPECT_EQ(reg.solve_telemetry().solves, 3u);
   EXPECT_EQ(reg.solve_telemetry().fallbacks, 1u);
   EXPECT_EQ(reg.solve_telemetry().failures, 0u);
-  EXPECT_EQ(reg.solve_telemetry().last.strategy, SolveStrategy::ColdStart);
+  // Cold-start ran for the first solve and rescued the sabotaged third.
+  const auto& rungs = reg.solve_telemetry().rung_attempts;
+  EXPECT_EQ(rungs[static_cast<std::size_t>(SolveStrategy::WarmStart)], 2u);
+  EXPECT_EQ(rungs[static_cast<std::size_t>(SolveStrategy::ColdStart)], 2u);
 }
 
 // ---------- graceful degradation of sweeps ---------------------------------
