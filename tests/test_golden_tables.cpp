@@ -14,14 +14,25 @@
 //    exact; the time reduction is arithmetic and pinned to 1e-12.
 //  * EXT sigma-to-yield curve: failure counts +/- 2 (a last-ulp libm
 //    difference can flip a threshold-straddling sample), sigma +/- 0.05.
+//
+// Beside those bands, ExactOutputs.* holds the paper's outputs to the bit:
+// Table I, Fig. 4, every full-grid Table II task and row, and the Table III
+// matrix, dumped as text and compared with tests/golden/paper_outputs.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "lpsram/core/retention_analyzer.hpp"
 #include "lpsram/march/library.hpp"
+#include "lpsram/runtime/campaign.hpp"
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/stats/array_stats.hpp"
 #include "lpsram/stats/yield/engine.hpp"
@@ -284,6 +295,183 @@ TEST(GoldenYield, GumbelModelTracksEmpiricalTail) {
   // 90% quantile brackets 0.9 at this trial count (54/60 observed).
   EXPECT_NEAR(d.gumbel_quantile(0.5), d.percentile(0.5), 0.5 * d.stddev);
   EXPECT_NEAR(d.yield_at(d.gumbel_quantile(0.9)), 0.9, 0.1);
+}
+
+// ---------- Exact outputs: every bit of the paper's tables ------------------
+//
+// The bands above pin headline values. This gate pins every output bit of
+// the paper pipeline: the ten Table I DRVs, the Fig. 4 points, each of the
+// 3,825 full-grid Table II tasks (read back from its journal record), each
+// Table II row with its 16 solve counters, and the Table III matrix. So a
+// change that moves one threshold by one bisection step fails here, inside
+// every band. Each double prints as its raw IEEE-754 bits, then in decimal
+// for the reader. A golden changes only with a CHANGES.md entry that says
+// why; on a mismatch the test writes its dump to LPSRAM_GOLDEN_DUMP in the
+// build tree, ready to replace LPSRAM_GOLDEN_FILE.
+
+std::string bits(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%016llx(%.9g)",
+                static_cast<unsigned long long>(key_bits(v)), v);
+  return buf;
+}
+
+std::string celsius(double temp_c) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%gC", temp_c);
+  return buf;
+}
+
+// A Table II task's journal key, derived as DefectCharacterizer::table
+// derives it.
+std::uint64_t table2_task_key(DefectId id, const CaseStudy& cs,
+                              std::size_t pvt_index) {
+  constexpr std::uint64_t kSalt = 0x7461626c653249ULL;  // "table2I"
+  return fold_key(
+      fold_key(fold_key(fold_key(kSalt, static_cast<std::uint64_t>(id)),
+                        static_cast<std::uint64_t>(cs.index)),
+               cs.degrades_one ? 1u : 0u),
+      pvt_index);
+}
+
+// A journaled Table II task, decoded from its frame (runtime/sweep.hpp):
+// [u8 flags][SolveTelemetry if counted][QuarantinedPoint | payload].
+std::string table2_task_outcome(const std::vector<std::uint8_t>& framed) {
+  PayloadReader in(framed);
+  const std::uint8_t flags = in.u8();
+  if (flags & 2) (void)decode_telemetry(in);
+  if (flags & 1) return "quarantined " + decode_quarantine(in).error_type;
+  if (in.done()) return "open";
+  const double threshold = in.f64();
+  const auto vref = static_cast<VrefLevel>(in.u8());
+  return "threshold=" + bits(threshold) + " vref=" + vref_name(vref);
+}
+
+std::vector<std::string> paper_output_dump() {
+  std::vector<std::string> lines;
+
+  // Table I, and the worst-case DRV the flow is built around.
+  double worst_drv = 0.0;
+  for (const CaseStudy& cs : paper_case_studies()) {
+    const CaseStudyDrv row = characterize_case_study(tech(), cs);
+    worst_drv = std::max(worst_drv, row.drv_ds());
+    lines.push_back("table1 " + cs.name() + " drv_ds=" + bits(row.drv_ds()) +
+                    " drv1=" + bits(row.worst.drv.drv1) + " at " +
+                    corner_name(row.worst.corner1) + "/" +
+                    celsius(row.worst.temp1) +
+                    " drv0=" + bits(row.worst.drv.drv0) + " at " +
+                    corner_name(row.worst.corner0) + "/" +
+                    celsius(row.worst.temp0));
+  }
+
+  // Fig. 4 over the full corner x temperature grid.
+  const std::vector<double> sigmas = {-6.0, -4.5, -3.0, -1.5, -0.5, 0.0,
+                                      0.5,  1.5,  3.0,  4.5,  6.0};
+  for (const Fig4Point& point : RetentionAnalyzer(tech()).fig4_sweep(sigmas)) {
+    char sigma[16];
+    std::snprintf(sigma, sizeof(sigma), "%g", point.sigma);
+    lines.push_back("fig4 " + cell_transistor_name(point.transistor) +
+                    " sigma=" + sigma + " drv1=" + bits(point.drv1) +
+                    " drv0=" + bits(point.drv0));
+  }
+
+  // Full-grid Table II, journaled, then every task read back from its
+  // journal record.
+  const std::filesystem::path dir = "campaign-journals";
+  std::filesystem::create_directories(dir);
+  const std::string journal = (dir / "golden_table2.journal").string();
+  std::filesystem::remove(journal);
+  const std::span<const DefectId> defects = table2_defects();
+  const std::vector<CaseStudy> case_studies = table2_case_studies();
+  std::vector<std::vector<DefectCsResult>> rows;
+  {
+    Campaign campaign(journal);
+    DefectCharacterizationOptions options;  // full grid, paper tolerance
+    options.campaign = &campaign;
+    rows = DefectCharacterizer(tech(), options).table(defects, case_studies);
+  }
+  const ShardSnapshot snapshot = read_campaign_snapshot(journal);
+  const std::vector<PvtPoint> grid = full_pvt_grid(tech());
+  for (const DefectId id : defects) {
+    for (const CaseStudy& cs : case_studies) {
+      for (std::size_t p = 0; p < grid.size(); ++p) {
+        const auto task = snapshot.tasks.find(table2_task_key(id, cs, p));
+        lines.push_back("table2 Df" + std::to_string(id) + " " + cs.name() +
+                        " " + pvt_name(grid[p]) + " " +
+                        (task == snapshot.tasks.end()
+                             ? std::string("missing")
+                             : table2_task_outcome(task->second.payload)));
+      }
+    }
+  }
+  for (const auto& row : rows) {
+    for (const DefectCsResult& cell : row) {
+      std::string line = "table2.row Df" + std::to_string(cell.id) + " " +
+                         cell.cs_name + " min=" + bits(cell.min_resistance) +
+                         (cell.open_only ? " open" : "") + " worst=" +
+                         pvt_name(cell.worst_pvt) +
+                         " vref=" + vref_name(cell.vref_at_worst) +
+                         " counters";
+      for (const std::uint64_t* counter :
+           telemetry_counters(cell.telemetry.solves))
+        line.append(" ").append(std::to_string(*counter));
+      lines.push_back(line);
+    }
+  }
+  std::filesystem::remove(journal);
+
+  // Table III's detection matrix, as the methodology builds it.
+  FlowOptimizer::Options flow_options;
+  flow_options.worst_drv = worst_drv;
+  const DetectionMatrix matrix =
+      FlowOptimizer(tech(), flow_options).build_matrix(defects);
+  for (std::size_t ci = 0; ci < matrix.conditions.size(); ++ci)
+    for (std::size_t di = 0; di < matrix.defects.size(); ++di)
+      lines.push_back("table3 " + matrix.conditions[ci].str() + " Df" +
+                      std::to_string(matrix.defects[di]) +
+                      " rmin=" + bits(matrix.rmin[ci][di]));
+  return lines;
+}
+
+constexpr const char* kGoldenHeader =
+    "# Every output bit of the paper's tables, as ExactOutputs.* in\n"
+    "# tests/test_golden_tables.cpp dumps them: Table I, Fig. 4, each\n"
+    "# full-grid Table II task and row (16 solve counters each) and the\n"
+    "# Table III matrix. Doubles print as raw IEEE-754 bits (decimal in\n"
+    "# parentheses). Change this file only with a CHANGES.md entry that says\n"
+    "# why; a failing run writes its dump into the build tree.\n";
+
+TEST(ExactOutputs, MatchTheCommittedGolden) {
+  const std::vector<std::string> dump = paper_output_dump();
+
+  std::vector<std::string> golden;
+  {
+    std::ifstream in(LPSRAM_GOLDEN_FILE);
+    ASSERT_TRUE(in) << "cannot read " << LPSRAM_GOLDEN_FILE;
+    for (std::string line; std::getline(in, line);)
+      if (!line.empty() && line[0] != '#') golden.push_back(line);
+  }
+
+  std::size_t differing = 0;
+  std::ostringstream first;
+  for (std::size_t i = 0; i < std::max(dump.size(), golden.size()); ++i) {
+    const std::string want = i < golden.size() ? golden[i] : "(none)";
+    const std::string got = i < dump.size() ? dump[i] : "(none)";
+    if (want == got) continue;
+    if (++differing <= 20)
+      first << "line " << i + 1 << "\n  golden: " << want
+            << "\n  now:    " << got << "\n";
+  }
+  if (differing == 0) return;
+
+  {
+    std::ofstream out(LPSRAM_GOLDEN_DUMP);
+    out << kGoldenHeader;
+    for (const std::string& line : dump) out << line << "\n";
+  }
+  ADD_FAILURE() << differing << " of " << golden.size()
+                << " golden lines differ; the first:\n"
+                << first.str() << "this run's dump: " << LPSRAM_GOLDEN_DUMP;
 }
 
 }  // namespace
