@@ -825,6 +825,8 @@ void drv_hold_cross_batched(const CoreCell* const* cells, std::size_t n,
                             const CrossDrvOptions& options, double* drv_out,
                             CrossDrvStats* stats) {
   const DrvOptions& d = options.drv;
+  check_log_bisection(d.vdd_min, d.vdd_max, d.rel_tolerance,
+                      "drv_hold_cross_batched");
   if (n == 0) return;
 
   CrossHoldVtc engine(cells, n, temp_c, CoreCell::hold_bias());

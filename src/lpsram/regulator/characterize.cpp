@@ -8,7 +8,6 @@
 
 #include "lpsram/runtime/sweep.hpp"
 #include "lpsram/spice/batch_transient.hpp"
-#include "lpsram/util/error.hpp"
 #include "lpsram/util/kernel_config.hpp"
 #include "lpsram/util/rootfind.hpp"
 #include "lpsram/util/units.hpp"
@@ -286,6 +285,7 @@ double RegulatorCharacterizer::drf_threshold(const DsCondition& condition,
                                              DefectId id, double r_lo,
                                              double r_hi, double rel_tolerance,
                                              double drv) const {
+  check_log_bisection(r_lo, r_hi, rel_tolerance, "drf_threshold");
   if (id == 0 || !is_gate_site(id) ||
       kernel_config().transient == Kernel::Reference) {
     return monotone_threshold_log(
@@ -293,8 +293,6 @@ double RegulatorCharacterizer::drf_threshold(const DsCondition& condition,
         r_lo, r_hi, rel_tolerance);
   }
 
-  if (!(r_lo > 0.0) || !(r_hi > r_lo))
-    throw InvalidArgument("drf_threshold: need 0 < lo < hi");
   const double flip = flip_.flip_threshold(condition.temp_c);
 
   // Endpoint probes, batched pairwise.

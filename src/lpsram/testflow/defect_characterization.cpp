@@ -1,9 +1,11 @@
 #include "lpsram/testflow/defect_characterization.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "lpsram/runtime/sweep.hpp"
 #include "lpsram/util/error.hpp"
+#include "lpsram/util/rootfind.hpp"
 
 namespace lpsram {
 
@@ -24,6 +26,16 @@ VrefLevel vref_for_vdd(double vdd, double worst_drv) {
 DefectCharacterizer::DefectCharacterizer(const Technology& tech,
                                          DefectCharacterizationOptions options)
     : tech_(tech), options_(std::move(options)) {
+  // A bad option throws here, once, rather than in (and quarantining)
+  // every task of the sweep.
+  check_log_bisection(options_.r_low, options_.r_high, options_.rel_tolerance,
+                      "DefectCharacterizationOptions");
+  if (!(options_.ds_time > 0.0) || !std::isfinite(options_.ds_time))
+    throw InvalidArgument(
+        "DefectCharacterizationOptions: need a finite ds_time > 0");
+  if (!(options_.worst_drv >= 0.0) || !std::isfinite(options_.worst_drv))
+    throw InvalidArgument(
+        "DefectCharacterizationOptions: need a finite worst_drv >= 0");
   if (options_.pvt.empty()) options_.pvt = full_pvt_grid(tech_);
   worst_drv_ = options_.worst_drv;
   if (worst_drv_ <= 0.0) {

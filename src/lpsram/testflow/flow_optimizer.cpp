@@ -1,6 +1,7 @@
 #include "lpsram/testflow/flow_optimizer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -41,6 +42,18 @@ double OptimizedFlow::time_reduction(const MarchTest& test, std::size_t words,
 
 FlowOptimizer::FlowOptimizer(const Technology& tech, Options options)
     : tech_(tech), options_(options) {
+  // A bad option throws here, once, rather than in (and quarantining)
+  // every entry of the matrix.
+  check_log_bisection(options_.r_low, options_.r_high, options_.rel_tolerance,
+                      "FlowOptimizerOptions");
+  if (!(options_.ds_time > 0.0) || !std::isfinite(options_.ds_time))
+    throw InvalidArgument("FlowOptimizerOptions: need a finite ds_time > 0");
+  if (!(options_.worst_drv >= 0.0) || !std::isfinite(options_.worst_drv))
+    throw InvalidArgument("FlowOptimizerOptions: need a finite worst_drv >= 0");
+  for (const double v : {options_.temp_c, options_.guard, options_.best_margin})
+    if (!std::isfinite(v))
+      throw InvalidArgument(
+          "FlowOptimizerOptions: temp_c, guard and best_margin must be finite");
   worst_drv_ = options_.worst_drv;
   if (worst_drv_ <= 0.0)
     worst_drv_ = characterize_case_study(tech_, case_study(1, true)).drv_ds();

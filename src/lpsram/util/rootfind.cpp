@@ -1,6 +1,7 @@
 #include "lpsram/util/rootfind.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "lpsram/util/error.hpp"
 
@@ -111,10 +112,21 @@ RootResult brent(const std::function<double(double)>& f, double lo, double hi,
   return result;
 }
 
+void check_log_bisection(double lo, double hi, double rel_tolerance,
+                         const char* who) {
+  if (!(lo > 0.0) || !(hi > lo) || !std::isnormal(lo * lo) ||
+      !std::isfinite(hi * hi))
+    throw InvalidArgument(std::string(who) +
+                          ": need 0 < lo < hi with lo*lo normal and hi*hi "
+                          "finite");
+  if (!(rel_tolerance > 1.0) || !std::isfinite(rel_tolerance))
+    throw InvalidArgument(std::string(who) +
+                          ": need a finite rel_tolerance > 1");
+}
+
 double monotone_threshold_log(const std::function<bool(double)>& predicate,
                               double lo, double hi, double rel_tolerance) {
-  if (!(lo > 0.0) || !(hi > lo))
-    throw InvalidArgument("monotone_threshold_log: need 0 < lo < hi");
+  check_log_bisection(lo, hi, rel_tolerance, "monotone_threshold_log");
   if (predicate(lo)) return lo;
   if (!predicate(hi)) return hi * 2.0;
 

@@ -37,8 +37,20 @@ RootResult brent(const std::function<double(double)>& f, double lo, double hi,
 // threshold, true above). Returns hi * 2 if the predicate is false over the
 // whole range (caller treats that as "not found"), and lo if it is true
 // everywhere. `rel_tolerance` bounds the ratio hi/lo of the final bracket.
+// Throws InvalidArgument where check_log_bisection does.
 double monotone_threshold_log(const std::function<bool(double)>& predicate,
                               double lo, double hi,
                               double rel_tolerance = 1.02);
+
+// Throws InvalidArgument (naming `who`) unless a log bisection of [lo, hi]
+// down to `rel_tolerance` terminates: 0 < lo < hi, lo * lo normal and
+// hi * hi finite (so no midpoint sqrt(a * b) under- or overflows), and a
+// finite rel_tolerance > 1. At a tolerance of 1 the bracket stops shrinking
+// once lo and hi are adjacent doubles, and the loop never ends. Every
+// bisection over sqrt(lo * hi) checks this on entry: monotone_threshold_log,
+// RegulatorCharacterizer::drf_threshold's probe tree and the cross-cell DRV
+// lanes of cell/batch_vtc.
+void check_log_bisection(double lo, double hi, double rel_tolerance,
+                         const char* who);
 
 }  // namespace lpsram

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -397,6 +398,38 @@ TEST(Characterizer, HealthyNeverCausesDrf) {
   c.temp_c = 125.0;
   c.corner = Corner::FastNSlowP;
   EXPECT_FALSE(ch.causes_drf(c, 0, 1.0, 0.72));
+}
+
+// Every probe order of drf_threshold bisects over sqrt(lo * hi): the scalar
+// schedule, and for gate sites the lockstep probe tree. Neither may start on
+// a tolerance at or below 1, which would never end.
+TEST(Characterizer, DrfThresholdRefusesToleranceAtOrBelowOne) {
+  RegulatorCharacterizer ch(tech(), ArrayLoadModel::Options{});
+  DsCondition c;
+  c.vdd = 1.0;
+  c.vref = VrefLevel::V074;
+  c.temp_c = 125.0;
+  c.corner = Corner::FastNSlowP;
+  for (const Kernel transient : {Kernel::Production, Kernel::Reference}) {
+    const ScopedKernelConfig scope(&KernelConfig::transient, transient);
+    for (const DefectId id : {1, 8}) {  // a static site and a gate site
+      EXPECT_THROW(ch.drf_threshold(c, id, 1.0, 500e6, 1.0, 0.72),
+                   InvalidArgument)
+          << "Df" << id;
+      EXPECT_THROW(ch.drf_threshold(c, id, 1.0, 500e6,
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    0.72),
+                   InvalidArgument)
+          << "Df" << id;
+      EXPECT_THROW(ch.drf_threshold(c, id, 1.0,
+                                    std::numeric_limits<double>::infinity(),
+                                    1.05, 0.72),
+                   InvalidArgument)
+          << "Df" << id;
+    }
+  }
+  // Refused before the first solve.
+  EXPECT_EQ(ch.solve_telemetry().solves, 0u);
 }
 
 TEST(Characterizer, ConditionName) {

@@ -2,6 +2,10 @@
 // studies, defect characterization and the flow optimizer.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "lpsram/march/library.hpp"
 #include "lpsram/testflow/report.hpp"
 #include "lpsram/util/error.hpp"
@@ -127,6 +131,34 @@ DefectCharacterizationOptions fast_options() {
   return o;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+// A bad option throws once, at construction, instead of quarantining every
+// task of the table (r_low = 0 used to return a table of open cells).
+TEST(DefectCharacterization, RejectsBadOptionsAtConstruction) {
+  using Options = DefectCharacterizationOptions;
+  const std::vector<std::pair<const char*, void (*)(Options&)>> bad = {
+      {"r_low = 0", [](Options& o) { o.r_low = 0.0; }},
+      {"r_low = nan", [](Options& o) { o.r_low = kNan; }},
+      {"r_high = r_low", [](Options& o) { o.r_high = o.r_low; }},
+      {"r_high = inf", [](Options& o) { o.r_high = kInf; }},
+      {"rel_tolerance = 1", [](Options& o) { o.rel_tolerance = 1.0; }},
+      {"rel_tolerance = nan", [](Options& o) { o.rel_tolerance = kNan; }},
+      {"rel_tolerance = inf", [](Options& o) { o.rel_tolerance = kInf; }},
+      {"ds_time = 0", [](Options& o) { o.ds_time = 0.0; }},
+      {"ds_time = inf", [](Options& o) { o.ds_time = kInf; }},
+      {"worst_drv < 0", [](Options& o) { o.worst_drv = -0.1; }},
+      {"worst_drv = nan", [](Options& o) { o.worst_drv = kNan; }},
+  };
+  for (const auto& [name, spoil] : bad) {
+    Options options = fast_options();
+    options.worst_drv = 0.72;  // skip the CS1 DRV search
+    spoil(options);
+    EXPECT_THROW(DefectCharacterizer(tech(), options), InvalidArgument) << name;
+  }
+}
+
 TEST(DefectCharacterization, CriticalDefectsHaveSmallRmin) {
   const DefectCharacterizer ch(tech(), fast_options());
   const CaseStudy cs1 = case_study(1, true);
@@ -184,6 +216,31 @@ TEST(DefectCharacterization, TableShapeMatchesInputs) {
 
 TEST(FlowOptimizer, AllTwelveConditionsEnumerated) {
   EXPECT_EQ(all_test_conditions(tech()).size(), 12u);
+}
+
+// As for the defect characterizer: a bad option throws at construction, not
+// in every entry of the matrix.
+TEST(FlowOptimizer, RejectsBadOptionsAtConstruction) {
+  using Options = FlowOptimizerOptions;
+  const std::vector<std::pair<const char*, void (*)(Options&)>> bad = {
+      {"r_low = 0", [](Options& o) { o.r_low = 0.0; }},
+      {"r_high = r_low", [](Options& o) { o.r_high = o.r_low; }},
+      {"r_high = inf", [](Options& o) { o.r_high = kInf; }},
+      {"rel_tolerance = 1", [](Options& o) { o.rel_tolerance = 1.0; }},
+      {"rel_tolerance = nan", [](Options& o) { o.rel_tolerance = kNan; }},
+      {"ds_time = 0", [](Options& o) { o.ds_time = 0.0; }},
+      {"worst_drv < 0", [](Options& o) { o.worst_drv = -0.1; }},
+      {"worst_drv = inf", [](Options& o) { o.worst_drv = kInf; }},
+      {"temp_c = nan", [](Options& o) { o.temp_c = kNan; }},
+      {"guard = inf", [](Options& o) { o.guard = kInf; }},
+      {"best_margin = nan", [](Options& o) { o.best_margin = kNan; }},
+  };
+  for (const auto& [name, spoil] : bad) {
+    Options options;
+    options.worst_drv = 0.72;  // skip the CS1 DRV search
+    spoil(options);
+    EXPECT_THROW(FlowOptimizer(tech(), options), InvalidArgument) << name;
+  }
 }
 
 TEST(FlowOptimizer, ConditionStringShowsVreg) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "lpsram/device/technology.hpp"
@@ -533,6 +534,43 @@ TEST(RootFind, MonotoneThresholdBadRangeThrows) {
       InvalidArgument);
   EXPECT_THROW(monotone_threshold_log([](double) { return true; }, 10.0, 5.0),
                InvalidArgument);
+}
+
+// A tolerance at or below 1 never ends the loop: once lo and hi are adjacent
+// doubles, sqrt(lo * hi) rounds to one of them. A NaN one skipped the
+// bisection and returned hi.
+TEST(RootFind, MonotoneThresholdRefusesToleranceAtOrBelowOne) {
+  const auto step = [](double x) { return x >= 1.5; };
+  for (const double tolerance :
+       {1.0, 0.5, 0.0, -2.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(monotone_threshold_log(step, 1.0, 4.0, tolerance),
+                 InvalidArgument)
+        << tolerance;
+}
+
+// Bounds whose midpoints under- or overflow never end the loop either: a
+// midpoint of 0 sticks, as does one of infinity.
+TEST(RootFind, MonotoneThresholdRefusesNonFiniteAndUnderflowingBounds) {
+  const auto step = [](double x) { return x >= 1e-199; };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(monotone_threshold_log(step, 1.0, inf, 1.05), InvalidArgument);
+  EXPECT_THROW(monotone_threshold_log(step, nan, 4.0, 1.05), InvalidArgument);
+  EXPECT_THROW(monotone_threshold_log(step, 1.0, nan, 1.05), InvalidArgument);
+  EXPECT_THROW(monotone_threshold_log(step, 1e-200, 1.0, 1.05),
+               InvalidArgument);
+  EXPECT_THROW(monotone_threshold_log(step, 1.0, 1e200, 1.05),
+               InvalidArgument);
+}
+
+// The smallest tolerance above 1 still ends, within two doubles of the step.
+TEST(RootFind, MonotoneThresholdSmallestToleranceEnds) {
+  const double threshold = monotone_threshold_log(
+      [](double x) { return x >= 1.5; }, 1.0, 4.0,
+      std::nextafter(1.0, 2.0));
+  EXPECT_GE(threshold, 1.5);
+  EXPECT_LE(threshold, std::nextafter(std::nextafter(1.5, 2.0), 2.0));
 }
 
 // ---------- strings ----------------------------------------------------------

@@ -864,6 +864,32 @@ TEST(CrossBatch, StragglerEvictionIsResultNeutral) {
   }
 }
 
+// The cross-cell lanes replicate monotone_threshold_log's schedule, so they
+// refuse what it refuses: a tolerance at or below 1 would never end.
+TEST(CrossBatch, RefusesToleranceAtOrBelowOneAndNonFiniteBounds) {
+  const CoreCell cell(tech(), CellVariation{});
+  const CoreCell* ptr = &cell;
+  double drv = 0.0;
+  const auto refuses = [&](double vdd_min, double vdd_max, double tolerance) {
+    CrossDrvOptions options;
+    options.drv.vdd_min = vdd_min;
+    options.drv.vdd_max = vdd_max;
+    options.drv.rel_tolerance = tolerance;
+    EXPECT_THROW(drv_hold_cross_batched(&ptr, 1, StoredBit::One, 25.0,
+                                        options, &drv),
+                 InvalidArgument)
+        << vdd_min << " " << vdd_max << " " << tolerance;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  refuses(0.02, 1.2, 1.0);
+  refuses(0.02, 1.2, 0.5);
+  refuses(0.02, 1.2, nan);
+  refuses(0.02, inf, 1.005);
+  refuses(nan, 1.2, 1.005);
+  refuses(0.0, 1.2, 1.005);
+}
+
 TEST(YieldExactBatch, CurveBitIdenticalAcrossBatchKinds) {
   const YieldEngineOptions options = small_options(YieldMode::Blockade);
   YieldResult one, lane;
