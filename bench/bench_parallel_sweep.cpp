@@ -1,14 +1,14 @@
-// PAR: serial-vs-parallel comparison of the Table II sweep executor, plus
-// the warm-start solve cache's effect — the machinery behind every sweep
-// driver (DefectCharacterizer, FlowOptimizer, RetentionAnalyzer, regulator
-// characterization).
+// PAR: serial-vs-parallel comparison of the Table II sweep executor — the
+// machinery behind every sweep driver (DefectCharacterizer, FlowOptimizer,
+// RetentionAnalyzer, regulator characterization).
 //
-// Three runs of the same reduced-grid Table II slice:
-//   1. serial, cache off   (baseline);
-//   2. serial, cache on    (cache effect in isolation);
-//   3. parallel, cache on  (the production configuration).
-// Verifies runs 1/3 produce bit-identical minimal resistances (the executor's
-// determinism contract), then writes the measurements to BENCH_parallel.json.
+// Two runs of the same reduced-grid Table II slice, each task warm-starting
+// from its own operating-point chain:
+//   1. serial   (baseline);
+//   2. parallel (the production configuration).
+// Verifies both produce bit-identical minimal resistances (the executor's
+// determinism contract), reports the chain's hit rate, then writes the
+// measurements to BENCH_parallel.json.
 //
 // Usage: bench_parallel_sweep [--threads N] [--full]
 //   --threads N: worker count of the parallel run (default: LPSRAM_THREADS
@@ -37,11 +37,9 @@ struct RunResult {
 
 RunResult run(const Technology& tech, const DefectCharacterizationOptions& base,
               std::span<const DefectId> defects,
-              std::span<const CaseStudy> case_studies, int threads,
-              bool cache) {
+              std::span<const CaseStudy> case_studies, int threads) {
   DefectCharacterizationOptions options = base;
   options.threads = threads;
-  options.solve_cache = cache;
   const DefectCharacterizer characterizer(tech, options);
   RunResult result;
   result.rows = characterizer.table(defects, case_studies, &result.telemetry);
@@ -100,32 +98,24 @@ int main(int argc, char** argv) {
     defects = {7, 16, 19, 23, 29};
   const std::vector<CaseStudy> case_studies = {case_study(1, true)};
 
-  std::printf("PAR — sweep executor + solve cache on the Table II slice "
+  std::printf("PAR — sweep executor on the Table II slice "
               "(%zu defects x %zu PVT points, %d workers)\n\n",
               defects.size(), options.pvt.size(), threads);
 
-  const RunResult serial = run(tech, options, defects, case_studies, 1, false);
-  std::printf("serial, cache off : %s\n", serial.telemetry.summary().c_str());
-
-  const RunResult cached = run(tech, options, defects, case_studies, 1, true);
-  std::printf("serial, cache on  : %s\n", cached.telemetry.summary().c_str());
+  const RunResult serial = run(tech, options, defects, case_studies, 1);
+  std::printf("serial  : %s\n", serial.telemetry.summary().c_str());
 
   const RunResult parallel =
-      run(tech, options, defects, case_studies, threads, true);
-  std::printf("parallel, cache on: %s\n", parallel.telemetry.summary().c_str());
+      run(tech, options, defects, case_studies, threads);
+  std::printf("parallel: %s\n", parallel.telemetry.summary().c_str());
 
   const bool identical = bit_identical(serial, parallel);
   const double speedup = parallel.telemetry.wall_s > 0.0
                              ? serial.telemetry.wall_s / parallel.telemetry.wall_s
                              : 0.0;
-  const double cache_speedup =
-      cached.telemetry.wall_s > 0.0
-          ? serial.telemetry.wall_s / cached.telemetry.wall_s
-          : 0.0;
 
   std::printf("\nserial -> parallel speedup: %.2fx at %d workers\n", speedup,
               threads);
-  std::printf("serial -> cached speedup:   %.2fx\n", cache_speedup);
   std::printf("cache hit rate:             %.1f%%\n",
               100.0 * parallel.telemetry.cache_hit_rate());
   std::printf("parallel bit-identical to serial: %s\n",
@@ -138,17 +128,15 @@ int main(int argc, char** argv) {
                  "  \"tasks\": %zu,\n"
                  "  \"threads\": %d,\n"
                  "  \"serial_wall_s\": %.6f,\n"
-                 "  \"cached_wall_s\": %.6f,\n"
                  "  \"parallel_wall_s\": %.6f,\n"
                  "  \"speedup\": %.4f,\n"
-                 "  \"cache_speedup\": %.4f,\n"
                  "  \"cache_hit_rate\": %.4f,\n"
                  "  \"solves\": %llu,\n"
                  "  \"bit_identical\": %s\n"
                  "}\n",
                  parallel.telemetry.tasks, threads, serial.telemetry.wall_s,
-                 cached.telemetry.wall_s, parallel.telemetry.wall_s, speedup,
-                 cache_speedup, parallel.telemetry.cache_hit_rate(),
+                 parallel.telemetry.wall_s, speedup,
+                 parallel.telemetry.cache_hit_rate(),
                  static_cast<unsigned long long>(
                      parallel.telemetry.solves.solves),
                  identical ? "true" : "false");

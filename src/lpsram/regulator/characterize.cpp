@@ -71,7 +71,7 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
   }
 
   SweepPlan plan;
-  // Task identity for chaos forking and cache scoping: a pure function of
+  // Task identity for chaos forking and the journal: a pure function of
   // (sweep, corner, vref, probe index) — never of scheduling.
   plan.salt = fold_key(fold_key(0x6d656173757265ULL,  // "measure"
                                 static_cast<std::uint64_t>(corner)),
@@ -100,7 +100,7 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
     const Probe& probe = probes[task.index];
     VoltageRegulator& reg =
         regulators[static_cast<std::size_t>(task.worker)].emplace(tech, corner);
-    reg.set_solve_cache(task.cache, task.key);
+    reg.start_task(&task.chain);
     task.count_solves([&reg] { return reg.solve_telemetry(); });
     reg.set_cancel(cancel);
     reg.select_vref(vref);
@@ -140,7 +140,6 @@ RegulationMetrics measure_regulation(const Technology& tech, Corner corner,
   plan.context = [&probes](std::size_t i) { return probes[i].context; };
   plan.quarantine = report != nullptr;  // no collector: fail the sweep
   // No task-start cancel poll: the token reaches every Newton iteration.
-  plan.solve_cache = true;
   const SweepRun run = runner.run(plan, campaign);
 
   // Index-ordered reduction.
@@ -178,7 +177,7 @@ VoltageRegulator& RegulatorCharacterizer::regulator_for(Corner corner) const {
                 .emplace(corner, std::make_unique<VoltageRegulator>(
                                      tech_, corner, load_options_))
                 .first;
-    found->second->set_solve_cache(solve_cache_, cache_task_key_);
+    found->second->start_task(chain_);
     found->second->set_cancel(cancel_);
   }
   return *found->second;
@@ -189,12 +188,9 @@ void RegulatorCharacterizer::set_cancel(const CancelToken* cancel) {
   for (auto& [corner, reg] : regulators_) reg->set_cancel(cancel);
 }
 
-void RegulatorCharacterizer::set_solve_cache(SolveCache* cache,
-                                             std::uint64_t task_key) {
-  solve_cache_ = cache;
-  cache_task_key_ = task_key;
-  for (auto& [corner, reg] : regulators_)
-    reg->set_solve_cache(cache, task_key);
+void RegulatorCharacterizer::start_task(OperatingPointChain* chain) {
+  chain_ = chain;
+  for (auto& [corner, reg] : regulators_) reg->start_task(chain);
 }
 
 SolveTelemetry RegulatorCharacterizer::solve_telemetry() const {

@@ -118,11 +118,11 @@ class RegulatorCharacterizer {
 
   const FlipTimeModel& flip_model() const noexcept { return flip_; }
 
-  // Attaches a shared operating-point cache, applied to the existing and
-  // every future per-corner regulator. `task_key` scopes lookups to one
-  // sweep task (see VoltageRegulator::set_solve_cache); sweep drivers call
-  // this again with the task's key before each task body.
-  void set_solve_cache(SolveCache* cache, std::uint64_t task_key = 0);
+  // Starts a sweep task (VoltageRegulator::start_task) on the existing and
+  // every future per-corner regulator: their solves borrow the task's
+  // operating-point chain (nullptr: none). Sweep drivers call this at the
+  // start of each task body.
+  void start_task(OperatingPointChain* chain);
 
   // Hands a cancel token (VoltageRegulator::set_cancel) to the existing and
   // every future per-corner regulator — how sweep drivers thread a
@@ -139,8 +139,7 @@ class RegulatorCharacterizer {
   Technology tech_;
   ArrayLoadModel::Options load_options_;
   FlipTimeModel flip_;
-  SolveCache* solve_cache_ = nullptr;
-  std::uint64_t cache_task_key_ = 0;
+  OperatingPointChain* chain_ = nullptr;
   const CancelToken* cancel_ = nullptr;
   // One regulator instance per corner, built lazily and reconfigured per
   // query (warm-started DC solves make sweeps cheap).

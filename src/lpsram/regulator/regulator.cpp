@@ -312,8 +312,8 @@ void VoltageRegulator::inject_defect(DefectId id, double ohms) {
   netlist_.set_resistance(e_defect_[static_cast<std::size_t>(
                               defect_site(id).id - 1)],
                           ohms);
-  cache_defect_id_ = defect_site(id).id;
-  cache_defect_ohms_ = ohms;
+  swept_defect_ = defect_site(id).id;
+  swept_ohms_ = ohms;
   warm_start_.clear();
 }
 
@@ -321,17 +321,17 @@ void VoltageRegulator::clear_defect(DefectId id) {
   netlist_.set_resistance(
       e_defect_[static_cast<std::size_t>(defect_site(id).id - 1)],
       healthy_resistance());
-  if (cache_defect_id_ == defect_site(id).id) {
-    cache_defect_id_ = 0;
-    cache_defect_ohms_ = healthy_resistance();
+  if (swept_defect_ == defect_site(id).id) {
+    swept_defect_ = 0;
+    swept_ohms_ = healthy_resistance();
   }
   warm_start_.clear();
 }
 
 void VoltageRegulator::clear_all_defects() {
   for (ElementId e : e_defect_) netlist_.set_resistance(e, healthy_resistance());
-  cache_defect_id_ = 0;
-  cache_defect_ohms_ = healthy_resistance();
+  swept_defect_ = 0;
+  swept_ohms_ = healthy_resistance();
   warm_start_.clear();
 }
 
@@ -358,28 +358,25 @@ SolveOutcome VoltageRegulator::solve_dc_outcome(double temp_c) const {
   dc_options.shared_workspace = &newton_ws_;
   dc_options.cancel = cancel_;
 
-  // Cold start with a cache attached: seed the warm-start rung from the
-  // nearest cached neighbour along the defect-resistance axis. The key
-  // fingerprints everything else that shapes the operating point — netlist
-  // state minus the swept resistance, temperature, test load — plus the
-  // sweep task key, so lookups never cross task boundaries.
-  SolveCacheKey cache_key;
-  std::vector<double> cached_seed;
-  if (solve_cache_ != nullptr) {
+  // Cold start with a task's chain lent: seed the warm-start rung from the
+  // nearest solved point along the defect-resistance axis. The key
+  // fingerprints everything else that shapes the operating point: netlist
+  // state minus the swept resistance, temperature and test load.
+  OperatingPointChain::Key chain_key;
+  if (chain_ != nullptr) {
     const ElementId exclude =
-        cache_defect_id_ > 0
-            ? e_defect_[static_cast<std::size_t>(cache_defect_id_ - 1)]
+        swept_defect_ > 0
+            ? e_defect_[static_cast<std::size_t>(swept_defect_ - 1)]
             : -1;
-    cache_key.circuit =
+    chain_key.circuit =
         fold_key(fold_key(netlist_.state_signature(exclude), double_bits(temp_c)),
                  double_bits(*test_load_amps_));
-    cache_key.task = cache_task_key_;
-    cache_key.defect = static_cast<std::int32_t>(cache_defect_id_);
+    chain_key.defect = static_cast<std::int32_t>(swept_defect_);
     if (warm_start_.empty()) {
-      if (solve_cache_->lookup_nearest(cache_key, cache_defect_ohms_,
-                                       &cached_seed)) {
+      if (const std::vector<double>* seed =
+              chain_->nearest(chain_key, swept_ohms_)) {
         ++telemetry_.cache_hits;
-        warm_start_ = std::move(cached_seed);
+        warm_start_ = *seed;
       } else {
         ++telemetry_.cache_misses;
       }
@@ -393,8 +390,8 @@ SolveOutcome VoltageRegulator::solve_dc_outcome(double temp_c) const {
   telemetry_.record(outcome);
   if (outcome.ok()) {
     warm_start_ = outcome.result.x;
-    if (solve_cache_ != nullptr) {
-      solve_cache_->store(cache_key, cache_defect_ohms_, outcome.result.x);
+    if (chain_ != nullptr) {
+      chain_->store(chain_key, swept_ohms_, outcome.result.x);
       ++telemetry_.cache_stores;
     }
   } else {

@@ -33,7 +33,7 @@
 
 namespace lpsram {
 
-class SolveCache;  // runtime/parallel.hpp
+class OperatingPointChain;  // runtime/parallel.hpp
 
 // The four selectable reference levels (paper Section II.B).
 enum class VrefLevel { V078, V074, V070, V064 };
@@ -91,27 +91,22 @@ class VoltageRegulator {
   // DS-entry transients. Non-owning; must outlive the solves.
   void set_cancel(const CancelToken* cancel) noexcept { cancel_ = cancel; }
   // Running solve counters: warm hits, fallbacks, degradations, failures,
-  // per-rung attempts and (when a cache is attached) cache traffic.
+  // per-rung attempts and (while a chain is lent) chain traffic.
   const SolveTelemetry& solve_telemetry() const noexcept { return telemetry_; }
   void reset_solve_telemetry() { telemetry_.reset(); }
 
-  // Attaches a shared operating-point cache (nullptr detaches). When the
-  // regulator would otherwise cold-start a solve, it seeds the warm-start
-  // rung from the nearest cached neighbour instead — during a defect
-  // bisection every probe after the first finds a nearby point. `task_key`
-  // scopes this regulator's lookups to one sweep task so parallel sweeps
-  // stay deterministic (see runtime/parallel.hpp). The cache itself is
-  // thread-safe; this setter is not.
-  //
-  // Sweep drivers call this at every task start, so it also hands the task
-  // its own sparse-LU state: the pivot order analysed at construction, not
-  // the one earlier tasks on this worker slot left behind.
-  void set_solve_cache(SolveCache* cache, std::uint64_t task_key = 0) {
-    solve_cache_ = cache;
-    cache_task_key_ = task_key;
+  // Starts a sweep task on this regulator. Its solves borrow the task's
+  // operating-point chain (nullptr: none): a solve that would otherwise
+  // cold-start seeds the warm-start rung from the nearest point the chain
+  // holds, and every converged solve stores its point there — during a
+  // defect bisection every probe after the first finds a nearby point. The
+  // chain must outlive the task's solves. The task also gets its own
+  // sparse-LU state: the pivot order analysed at construction, not the one
+  // earlier tasks on this worker slot left behind.
+  void start_task(OperatingPointChain* chain) {
+    chain_ = chain;
     newton_ws_.lu = canonical_lu_;
   }
-  SolveCache* solve_cache() const noexcept { return solve_cache_; }
   // Regulated output voltage (VDD_CC) at DC.
   double vreg_dc(double temp_c) const;
   // Current drawn from the main VDD rail at DC [A].
@@ -191,19 +186,18 @@ class VoltageRegulator {
   mutable NewtonWorkspace newton_ws_;
   // The sparse LU after one DC solve of the as-built circuit, run with
   // every solver observer silenced: the canonical pivot order each task
-  // starts from (set_solve_cache), so which rung converges, and every solve
+  // starts from (start_task), so which rung converges, and every solve
   // counter, does not depend on the tasks a worker slot ran before.
   SparseLu canonical_lu_;
   const CancelToken* cancel_ = nullptr;
   mutable SolveTelemetry telemetry_;
 
-  // Operating-point cache plumbing (see set_solve_cache). The injected
-  // defect is tracked so cache keys can exclude the swept resistance from
+  // The current task's operating-point chain (see start_task). The injected
+  // defect is tracked so chain keys can exclude the swept resistance from
   // the circuit signature and use it as the nearest-neighbour axis instead.
-  SolveCache* solve_cache_ = nullptr;
-  std::uint64_t cache_task_key_ = 0;
-  DefectId cache_defect_id_ = 0;    // 0 = no defect injected
-  double cache_defect_ohms_ = 1.0;  // resistance of the tracked defect
+  OperatingPointChain* chain_ = nullptr;
+  DefectId swept_defect_ = 0;    // 0 = no defect injected
+  double swept_ohms_ = 1.0;      // resistance of the tracked defect
 
   // Concurrent-entry guard (cheap enough for release builds): set for the
   // duration of solve_dc_outcome, throws instead of racing.

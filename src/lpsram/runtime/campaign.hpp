@@ -11,16 +11,16 @@
 //
 // Resume determinism contract: a journaled task is replayed from its
 // payload, never re-run, and a pending task re-runs from scratch with
-// nothing of the interrupted run carried over — SolveCache keys are
-// task-scoped, so it sees exactly the solve sequence it would have seen in
-// the uninterrupted run. Final tables and deterministic telemetry counters
-// are bit-identical. (Timings are excluded from the contract; replayed tasks
-// report zero wall-clock.)
+// nothing of the interrupted run carried over — its operating-point chain
+// is born with the task, so it sees exactly the solve sequence it would
+// have seen in the uninterrupted run. Final tables and deterministic
+// telemetry counters are bit-identical. (Timings are excluded from the
+// contract; replayed tasks report zero wall-clock.)
 //
 // Older journals also hold, as record type 3, the DC operating points each
-// task's solve cache stored. No resume could use them: they belong to
-// committed tasks, which are replayed, never re-run. They are decoded for
-// inspection only, and compaction and merge drop them.
+// task stored. No resume could use them: they belong to committed tasks,
+// which are replayed, never re-run. They are decoded for inspection only,
+// and compaction and merge drop them.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +40,15 @@ inline constexpr std::uint8_t kRecordManifest = 1;   // salt + config fingerprin
 inline constexpr std::uint8_t kRecordTaskDone = 2;   // task key + driver payload
 inline constexpr std::uint8_t kRecordOpPoint = 3;    // legacy, read-only
 
-// One operating point from a legacy journal, verbatim.
+// One operating point from a legacy journal, verbatim. Its key carries the
+// task key the old process-wide point table folded in.
 struct ShardOpPoint {
-  SolveCacheKey key;
+  struct Key {
+    std::uint64_t circuit = 0;
+    std::uint64_t task = 0;
+    std::int32_t defect = 0;
+  };
+  Key key;
   double r = 0.0;
   std::vector<double> x;
 };

@@ -175,75 +175,46 @@ void SweepExecutor::worker_loop(int worker) {
 }
 
 // ---------------------------------------------------------------------------
-// SolveCache
+// OperatingPointChain
 
-SolveCache::SolveCache() : shards_(kShards) {}
-
-SolveCache::Shard& SolveCache::shard_for(const SolveCacheKey& key) const noexcept {
-  return shards_[SolveCacheKeyHash{}(key) % kShards];
-}
-
-bool SolveCache::lookup_nearest(const SolveCacheKey& key, double r,
-                                std::vector<double>* x) const {
+const std::vector<double>* OperatingPointChain::nearest(const Key& key,
+                                                        double r) const {
+  const auto family =
+      std::find_if(families_.begin(), families_.end(),
+                   [&key](const Family& f) { return f.key == key; });
+  if (family == families_.end()) return nullptr;
   const double log_r = std::log(r);
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second.empty()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const std::vector<Entry>& entries = it->second;
-  // Entries are sorted by log_r: the nearest neighbour brackets the
-  // insertion point.
+  const std::vector<Point>& points = family->points;
+  // The nearest neighbour brackets the insertion point.
   auto lb = std::lower_bound(
-      entries.begin(), entries.end(), log_r,
-      [](const Entry& e, double v) { return e.log_r < v; });
-  const Entry* best = nullptr;
-  if (lb != entries.end()) best = &*lb;
-  if (lb != entries.begin()) {
-    const Entry* prev = &*(lb - 1);
+      points.begin(), points.end(), log_r,
+      [](const Point& p, double v) { return p.log_r < v; });
+  const Point* best = nullptr;
+  if (lb != points.end()) best = &*lb;
+  if (lb != points.begin()) {
+    const Point* prev = &*(lb - 1);
     if (!best || std::abs(prev->log_r - log_r) <= std::abs(best->log_r - log_r))
       best = prev;
   }
-  *x = best->x;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return &best->x;
 }
 
-void SolveCache::store(const SolveCacheKey& key, double r,
-                       const std::vector<double>& x) {
+void OperatingPointChain::store(const Key& key, double r,
+                                const std::vector<double>& x) {
+  auto family =
+      std::find_if(families_.begin(), families_.end(),
+                   [&key](const Family& f) { return f.key == key; });
+  if (family == families_.end())
+    family = families_.insert(families_.end(), Family{key, {}});
   const double log_r = std::log(r);
-  {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<Entry>& entries = shard.map[key];
-    auto lb = std::lower_bound(
-        entries.begin(), entries.end(), log_r,
-        [](const Entry& e, double v) { return e.log_r < v; });
-    if (lb != entries.end() && lb->log_r == log_r) {
-      lb->x = x;
-    } else {
-      entries.insert(lb, Entry{log_r, x});
-      stores_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-}
-
-void SolveCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-}
-
-std::size_t SolveCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, entries] : shard.map) total += entries.size();
-  }
-  return total;
+  std::vector<Point>& points = family->points;
+  auto lb = std::lower_bound(
+      points.begin(), points.end(), log_r,
+      [](const Point& p, double v) { return p.log_r < v; });
+  if (lb != points.end() && lb->log_r == log_r)
+    lb->x = x;
+  else
+    points.insert(lb, Point{log_r, x});
 }
 
 // ---------------------------------------------------------------------------

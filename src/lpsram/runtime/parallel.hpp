@@ -11,22 +11,23 @@
 //    results. With threads == 1 the executor degenerates to a plain serial
 //    loop (no pool, immediate exception propagation).
 //
-//  - SolveCache: a sharded, thread-safe memo of DC operating points keyed by
-//    (netlist signature, sweep-task key, defect id) with entries sorted by
-//    defect resistance. Sweep drivers hand it to the VoltageRegulator, whose
-//    warm-start rung then seeds from the nearest cached neighbour during
-//    bisection instead of cold-starting every point. Keys carry the task key
-//    so lookups never cross task boundaries — a task's solve sequence is
-//    identical whether other tasks run before, after, or concurrently.
+//  - OperatingPointChain: the DC operating points one sweep task has
+//    solved, keyed by circuit state and defect and sorted by defect
+//    resistance. Each SweepTask owns one and lends it to the task's
+//    regulators, whose warm-start rung then seeds from the nearest solved
+//    neighbour during bisection instead of cold-starting every point. A
+//    chain never outlives its task and no two threads share one, so a
+//    task's solve sequence is identical whether other tasks run before,
+//    after, or concurrently.
 //
 //  - SweepTelemetry: per-sweep aggregate (task count, thread count, wall/CPU
-//    time, merged SolveTelemetry with per-rung attempt and cache counters)
+//    time, merged SolveTelemetry with per-rung attempt and chain counters)
 //    surfaced on every sweep result.
 //
 // Determinism contract (relied on by tests/test_parallel.cpp): for a fixed
-// input and cache mode, every sweep driver built on this executor produces
-// bit-identical results and identical quarantine sets at any thread count,
-// including under chaos fault injection (tasks scope their chaos via
+// input, every sweep driver built on this executor produces bit-identical
+// results and identical quarantine sets at any thread count, including
+// under chaos fault injection (tasks scope their chaos via
 // ScopedTaskObserver, see spice/hooks.hpp).
 #pragma once
 
@@ -38,7 +39,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "lpsram/runtime/solve_outcome.hpp"
@@ -137,83 +137,55 @@ class SweepExecutor {
 };
 
 // ---------------------------------------------------------------------------
-// SolveCache
+// OperatingPointChain
 
-// Key of one cached operating-point family. `circuit` fingerprints the
-// netlist state *excluding* the swept defect resistance (plus ambient
-// conditions the netlist does not capture, e.g. temperature and test load);
-// `task` scopes entries to one sweep task so lookups are deterministic under
-// parallel execution; `defect` is the injected defect id (0 = none).
-struct SolveCacheKey {
-  std::uint64_t circuit = 0;
-  std::uint64_t task = 0;
-  std::int32_t defect = 0;
-
-  bool operator==(const SolveCacheKey&) const noexcept = default;
-};
-
-struct SolveCacheKeyHash {
-  std::size_t operator()(const SolveCacheKey& k) const noexcept {
-    return static_cast<std::size_t>(
-        mix64(k.circuit ^ mix64(k.task ^ static_cast<std::uint64_t>(
-                                             static_cast<std::uint32_t>(k.defect)))));
-  }
-};
-
-// Thread-safe memo of DC operating points, sharded by key hash so concurrent
-// tasks rarely contend. Within a key, entries are kept sorted by
-// log(defect resistance) and lookup returns the nearest stored neighbour —
-// the natural warm start while a bisection closes in on a threshold.
-class SolveCache {
+// The DC operating points one sweep task has solved. Points fall into
+// families by Key; within a family they are kept sorted by log(defect
+// resistance), and nearest() returns the neighbour nearest in |log r| — the
+// natural warm start while a bisection closes in on a threshold. Not
+// thread-safe: a chain belongs to one task on one thread. Allocates nothing
+// until the first store.
+class OperatingPointChain {
  public:
-  SolveCache();
+  // `circuit` fingerprints the netlist state *excluding* the swept defect
+  // resistance, folded with what the netlist does not capture (temperature
+  // and test load); `defect` is the injected defect id (0 = none).
+  struct Key {
+    std::uint64_t circuit = 0;
+    std::int32_t defect = 0;
 
-  // Nearest stored operating point for `key` by |log r - log entry.r|.
-  // Returns false (and leaves *x alone) when the key has no entries.
-  bool lookup_nearest(const SolveCacheKey& key, double r,
-                      std::vector<double>* x) const;
+    bool operator==(const Key&) const noexcept = default;
+  };
 
-  // Stores (r, x) under `key`; replaces the entry if this exact r is already
-  // present.
-  void store(const SolveCacheKey& key, double r, const std::vector<double>& x);
+  // The point of `key` nearest r by |log r - log entry.r|, the lower one on
+  // a tie; nullptr when `key` has none. Valid until the next store().
+  const std::vector<double>* nearest(const Key& key, double r) const;
 
-  void clear();
-  std::size_t size() const;  // total entries across all keys
-
-  // Process-lifetime counters (atomic; monotonically increasing across
-  // clear()). For deterministic per-sweep accounting use the cache_* fields
-  // of SolveTelemetry, which the solve owner counts locally.
-  std::uint64_t hits() const noexcept { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const noexcept { return misses_.load(std::memory_order_relaxed); }
-  std::uint64_t stores() const noexcept { return stores_.load(std::memory_order_relaxed); }
+  // Stores (r, x) under `key`, replacing the point already stored at r.
+  void store(const Key& key, double r, const std::vector<double>& x);
 
  private:
-  struct Entry {
+  struct Point {
     double log_r = 0.0;
     std::vector<double> x;
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<SolveCacheKey, std::vector<Entry>, SolveCacheKeyHash> map;
+  struct Family {
+    Key key;
+    std::vector<Point> points;  // sorted by log_r
   };
 
-  static constexpr std::size_t kShards = 16;
-
-  Shard& shard_for(const SolveCacheKey& key) const noexcept;
-
-  mutable std::vector<Shard> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> stores_{0};
+  // A task touches a handful of circuit states, so a linear scan finds its
+  // family.
+  std::vector<Family> families_;
 };
 
 // ---------------------------------------------------------------------------
 // SweepTelemetry
 
 // Aggregate telemetry of one sweep run, surfaced on every sweep result.
-// The `solves` sub-telemetry (solve counts, per-rung attempts, cache
-// counters) is deterministic for a fixed input + cache mode; the wall/CPU
-// timings are not.
+// The `solves` sub-telemetry (solve counts, per-rung attempts, chain
+// counters) is deterministic for a fixed input; the wall/CPU timings are
+// not.
 struct SweepTelemetry {
   std::size_t tasks = 0;   // executor tasks run (attempted + quarantined)
   int threads = 1;         // worker count the sweep ran with

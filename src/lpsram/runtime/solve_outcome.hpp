@@ -81,8 +81,9 @@ struct SolveTelemetry {
   // Ladder attempts per strategy, indexed by SolveStrategy: every entry of
   // every outcome's history counts, converged or not.
   std::array<std::uint64_t, kSolveStrategyCount> rung_attempts{};
-  // Operating-point cache traffic (counted by the solve owner when a
-  // SolveCache is attached; zero otherwise).
+  // Operating-point chain traffic (counted by the solve owner while a sweep
+  // task's OperatingPointChain is lent to it; zero otherwise): seeds found,
+  // seeds missed, points stored.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_stores = 0;

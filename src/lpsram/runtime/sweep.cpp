@@ -96,17 +96,11 @@ SweepRun SweepRunner::run(const SweepPlan& plan, Campaign* campaign) {
       pending.push_back(i);
   }
 
-  // The cache lives for this run only and is never journaled: its keys are
-  // task-scoped, so nothing in it could warm a task on resume.
-  SolveCache cache;
-  SolveCache* task_cache = plan.solve_cache ? &cache : nullptr;
-
   executor_.run(pending.size(), [&](std::size_t j, int worker) {
     SweepTask task;
     task.index = pending[j];
     task.worker = worker;
     task.key = plan.key_of(task.index);
-    task.cache = task_cache;
     const ScopedTaskObserver task_scope(task.key);
     const Clock::time_point task_started = Clock::now();
 

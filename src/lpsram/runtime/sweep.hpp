@@ -36,9 +36,12 @@ std::uint64_t fold_kernel_kinds(std::uint64_t fingerprint) noexcept;
 class SweepTask {
  public:
   std::size_t index = 0;
-  int worker = 0;               // executor slot, for per-worker scratch
-  std::uint64_t key = 0;        // plan.key_of(index)
-  SolveCache* cache = nullptr;  // the sweep's warm-start cache, or nullptr
+  int worker = 0;         // executor slot, for per-worker scratch
+  std::uint64_t key = 0;  // plan.key_of(index)
+  // The operating points this task solves, for the body to lend its
+  // regulators (VoltageRegulator::start_task). Created with the task and
+  // destroyed when it ends; never journaled.
+  OperatingPointChain chain;
 
   // Attributes to this task what `source` counts from now until the task
   // ends, a quarantined failure included — so `source` must outlive the
@@ -66,8 +69,6 @@ struct SweepPlan {
   bool quarantine = false;  // record a task's Error instead of rethrowing it
   const CancelToken* cancel = nullptr;  // polled at each task's start
   const char* cancel_label = "sweep";
-  // Hand tasks a SolveCache that lives for the run (never journaled).
-  bool solve_cache = false;
 };
 
 // One task's outcome, decoded from its payload.

@@ -135,10 +135,10 @@ class Netlist {
   // element's value (resistance, capacitance, source level, MOSFET
   // parameters) folded in element order. Two netlists built by the same code
   // path have equal signatures iff their element values match, which is what
-  // the runtime SolveCache keys operating points on. `exclude` names one
-  // element (typically the swept defect resistor) whose value is left out of
-  // the hash so a resistance sweep shares a single cache bucket; -1 excludes
-  // nothing. CurrentLoad elements hash as position-only (their behaviour is
+  // a sweep task's OperatingPointChain keys operating points on. `exclude`
+  // names one element (typically the swept defect resistor) whose value is
+  // left out of the hash so a resistance sweep shares a single family of
+  // points; -1 excludes nothing. CurrentLoad elements hash as position-only (their behaviour is
   // a closure this function cannot see) — callers whose loads carry mutable
   // state must fold that state into the key themselves.
   std::uint64_t state_signature(ElementId exclude = -1) const noexcept;

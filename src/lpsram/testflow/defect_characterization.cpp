@@ -159,7 +159,7 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::table(
     const PvtPoint& pvt = options_.pvt[task.pvt_index];
     RegulatorCharacterizer& characterizer =
         characterizer_for(sweep_task.worker, *task.cs);
-    characterizer.set_solve_cache(sweep_task.cache, sweep_task.key);
+    characterizer.start_task(&sweep_task.chain);
     sweep_task.count_solves(
         [&characterizer] { return characterizer.solve_telemetry(); });
 
@@ -192,7 +192,6 @@ std::vector<std::vector<DefectCsResult>> DefectCharacterizer::table(
   plan.quarantine = options_.quarantine;
   plan.cancel = options_.cancel;
   plan.cancel_label = "DefectCharacterizer";
-  plan.solve_cache = options_.solve_cache;
   const SweepRun run = runner.run(plan, options_.campaign);
 
   // Index-ordered reduction: PVT-grid order within each cell, exactly the

@@ -37,12 +37,9 @@ struct DefectCharacterizationOptions {
   bool quarantine = true;
   // Executor worker count for the (defect x case study x PVT) task grid:
   // 0 = automatic (LPSRAM_THREADS env, else hardware concurrency). Results
-  // are bit-identical at any thread count.
+  // are bit-identical at any thread count: each task's bisection probes
+  // warm-start from the operating points that task alone has solved.
   int threads = 0;
-  // Warm-start each task's bisection probes from the task-scoped
-  // operating-point SolveCache. Task scoping keeps parallel runs
-  // deterministic; cache on/off may differ within solver tolerance.
-  bool solve_cache = true;
   // Durable campaign (non-owning, may be null): completed (defect x CS x
   // PVT) tasks are journaled as they finish, and a resumed run replays
   // them from the journal — skipping the solves — with final tables
@@ -66,7 +63,7 @@ struct DefectCsResult {
   // Per-PVT-point solve accounting: which of the grid points this cell's
   // numbers actually cover, and which were quarantined with what error.
   SweepReport sweep;
-  // Executor/cache/solve telemetry of this cell's PVT tasks. Inside table()
+  // Executor/chain/solve telemetry of this cell's PVT tasks. Inside table()
   // the per-cell wall_s is 0 (wall-clock is only meaningful per sweep and
   // lands in the table-wide total); characterize() fills it in.
   SweepTelemetry telemetry;

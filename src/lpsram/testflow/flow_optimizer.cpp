@@ -141,7 +141,7 @@ DetectionMatrix FlowOptimizer::build_matrix(
           std::make_unique<RegulatorCharacterizer>(tech_, load, options_.flip);
       characterizer->set_cancel(options_.cancel);
     }
-    characterizer->set_solve_cache(sweep_task.cache, sweep_task.key);
+    characterizer->start_task(&sweep_task.chain);
     sweep_task.count_solves(
         [&characterizer] { return characterizer->solve_telemetry(); });
 
@@ -166,7 +166,6 @@ DetectionMatrix FlowOptimizer::build_matrix(
   plan.quarantine = options_.quarantine;
   plan.cancel = options_.cancel;
   plan.cancel_label = "FlowOptimizer";
-  plan.solve_cache = options_.solve_cache;
   const SweepRun run = runner.run(plan, options_.campaign);
 
   // (condition, defect)-ordered reduction, matching the serial loop. A

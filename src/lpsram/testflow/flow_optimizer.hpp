@@ -41,7 +41,7 @@ struct DetectionMatrix {
   // entries read as "not detectable" in rmin and are listed here so the
   // optimized flow states what fraction of the matrix it trusts.
   SweepReport sweep;
-  // Executor/cache/solve telemetry of the matrix build.
+  // Executor/chain/solve telemetry of the matrix build.
   SweepTelemetry telemetry;
 };
 
@@ -96,10 +96,9 @@ struct FlowOptimizerOptions {
   // entry then reads "not detectable"); false = fail-fast.
   bool quarantine = true;
   // Executor worker count for the (condition x defect) probe grid: 0 =
-  // automatic. Results are bit-identical at any thread count.
+  // automatic. Results are bit-identical at any thread count: each entry's
+  // bisection warm-starts from the operating points its task has solved.
   int threads = 0;
-  // Warm-start each probe's bisection from the task-scoped SolveCache.
-  bool solve_cache = true;
   // Durable campaign (non-owning, may be null): completed (condition x
   // defect) entries are journaled as they finish; a resumed build_matrix
   // replays them and produces a matrix bit-identical to an uninterrupted

@@ -112,14 +112,12 @@ TEST(Campaign, CompactionPreservesResultsAndManifests) {
 // same reduced grid as the thread-determinism suite, under the same chaos
 // mixture (some first attempts and some retries sabotaged) so quarantined
 // points flow through the journal codec too.
-DefectCharacterizationOptions slice_options(int threads, bool solve_cache,
-                                            Campaign* campaign) {
+DefectCharacterizationOptions slice_options(int threads, Campaign* campaign) {
   DefectCharacterizationOptions o;
   o.pvt = {PvtPoint{Corner::FastNSlowP, 1.0, 125.0},
            PvtPoint{Corner::Typical, 1.1, 125.0}};
   o.rel_tolerance = 1.10;
   o.threads = threads;
-  o.solve_cache = solve_cache;
   o.campaign = campaign;
   return o;
 }
@@ -174,12 +172,11 @@ ChaosPolicy slice_chaos_policy() {
 // Runs the slice (optionally journaled) and returns the cell fingerprints.
 // Chaos sabotage is a pure function of (seed, task key), so every run —
 // straight, interrupted or resumed — sees the same per-task fault pattern.
-std::vector<CellFingerprint> run_slice(int threads, bool solve_cache,
-                                       Campaign* campaign) {
+std::vector<CellFingerprint> run_slice(int threads, Campaign* campaign) {
   ChaosEngine chaos(slice_chaos_policy());
   const ChaosScope scope(chaos);
   const DefectCharacterizer ch(tech(),
-                               slice_options(threads, solve_cache, campaign));
+                               slice_options(threads, campaign));
   const std::vector<DefectId> defects = {16, 19};
   const std::vector<CaseStudy> cs = {case_study(1, true)};
   const auto rows = ch.table(defects, cs);
@@ -199,7 +196,7 @@ std::size_t journal_record_count(const std::string& path) {
 // whether the injected crash actually fired (false once the boundary lies
 // beyond the run's total appends).
 std::vector<CellFingerprint> kill_and_resume(const std::string& path,
-                                             int threads, bool solve_cache,
+                                             int threads,
                                              std::uint64_t boundary,
                                              bool* killed) {
   fs::remove(path);
@@ -207,7 +204,7 @@ std::vector<CellFingerprint> kill_and_resume(const std::string& path,
     Campaign campaign(path);
     const ScopedJournalCrash crash(boundary);
     try {
-      run_slice(threads, solve_cache, &campaign);
+      run_slice(threads, &campaign);
       *killed = false;  // boundary beyond the run's append count
     } catch (const JournalCrash&) {
       *killed = true;
@@ -216,70 +213,58 @@ std::vector<CellFingerprint> kill_and_resume(const std::string& path,
   // The "restarted process": a fresh Campaign replays the torn journal and
   // the same sweep runs again on top of it.
   Campaign campaign(path);
-  return run_slice(threads, solve_cache, &campaign);
+  return run_slice(threads, &campaign);
 }
 
 // Kills the slice at every journal append in turn, resuming each time, until
 // a run completes crash-free; returns that first crash-free boundary.
 std::uint64_t kill_at_every_boundary(
-    const std::string& path, int threads, bool solve_cache,
+    const std::string& path, int threads,
     const std::vector<CellFingerprint>& golden) {
   bool killed = true;
   std::uint64_t boundary = 1;
   for (; killed; ++boundary) {
     SCOPED_TRACE(std::to_string(threads) + " threads, killed at append " +
                  std::to_string(boundary));
-    EXPECT_EQ(kill_and_resume(path, threads, solve_cache, boundary, &killed),
-              golden);
+    EXPECT_EQ(kill_and_resume(path, threads, boundary, &killed), golden);
   }
   return boundary - 1;
 }
 
 TEST(KillReplay, EveryRecordBoundarySingleThreaded) {
-  const auto golden = run_slice(1, /*solve_cache=*/false, nullptr);
+  const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_t1.journal");
 
-  // Cache off, the journal is manifest + one TaskDone per (defect x CS x
-  // PVT) task — few enough to kill at EVERY boundary (and one past the end,
+  // The journal is manifest + one TaskDone per (defect x CS x PVT) task —
+  // each task's operating-point chain dies with the task, unjournaled — so
+  // few enough records to kill at EVERY boundary (and one past the end,
   // proving the harness also passes crash-free). The slice is 4 tasks:
   // manifest + 4 TaskDone records = 5 appends, so the first crash-free
   // boundary is 6. Guards against the harness silently degenerating (e.g.
   // journaling nothing and "resuming" by recomputing).
-  EXPECT_EQ(kill_at_every_boundary(path, 1, false, golden), 6u);
+  EXPECT_EQ(kill_at_every_boundary(path, 1, golden), 6u);
   EXPECT_EQ(journal_record_count(path), 5u);
 }
 
 TEST(KillReplay, EveryRecordBoundaryEightThreads) {
-  const auto golden = run_slice(1, false, nullptr);
+  const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_t8.journal");
   // Which tasks survive the kill is scheduling-dependent at 8 threads; the
   // resumed tables must be bit-identical regardless.
-  kill_at_every_boundary(path, 8, false, golden);
-}
-
-TEST(KillReplay, SampledBoundariesWithWarmStartCache) {
-  const auto golden = run_slice(1, /*solve_cache=*/true, nullptr);
-  const std::string path = journal_path("killreplay_cache.journal");
-
-  // The solve cache is never journaled, so with it on the journal is still
-  // the manifest plus one TaskDone per task: kill at every boundary, at 1
-  // and at 8 threads, exactly as with the cache off.
-  for (const int threads : {1, 8}) {
-    EXPECT_EQ(kill_at_every_boundary(path, threads, true, golden), 6u);
-    EXPECT_EQ(journal_record_count(path), 5u);
-  }
+  EXPECT_EQ(kill_at_every_boundary(path, 8, golden), 6u);
+  EXPECT_EQ(journal_record_count(path), 5u);
 }
 
 // A legacy journal holds a type-3 operating-point record for every point a
-// task's solve cache stored, each before its task's TaskDone. Such a journal
+// task stored, each before its task's TaskDone. Such a journal
 // must still resume: its committed tasks replay and none re-runs, and
 // compaction and merge drop its points.
 TEST(KillReplay, JournalWithLegacyOpPointsResumes) {
-  const auto golden = run_slice(1, /*solve_cache=*/true, nullptr);
+  const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_legacy_ops.journal");
   {
     Campaign campaign(path);
-    ASSERT_EQ(run_slice(1, true, &campaign), golden);
+    ASSERT_EQ(run_slice(1, &campaign), golden);
   }
 
   // Rewrite it in the legacy layout: two points before each TaskDone, and
@@ -317,7 +302,7 @@ TEST(KillReplay, JournalWithLegacyOpPointsResumes) {
   // The resume replays every task and appends nothing, so no task re-ran.
   {
     Campaign campaign(path);
-    EXPECT_EQ(run_slice(1, true, &campaign), golden);
+    EXPECT_EQ(run_slice(1, &campaign), golden);
   }
   EXPECT_EQ(journal_record_count(path), 14u);
 
@@ -348,17 +333,17 @@ TEST(KillReplay, JournalWithLegacyOpPointsResumes) {
     EXPECT_FALSE(has_op_point(journal));
     EXPECT_EQ(journal_record_count(journal), 5u);
     Campaign campaign(journal);
-    EXPECT_EQ(run_slice(1, true, &campaign), golden);
+    EXPECT_EQ(run_slice(1, &campaign), golden);
     EXPECT_EQ(journal_record_count(journal), 5u);
   }
 }
 
 TEST(KillReplay, CompletedJournalReplaysWithoutRecompute) {
-  const auto golden = run_slice(1, false, nullptr);
+  const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_complete.journal");
   {
     Campaign campaign(path);
-    EXPECT_EQ(run_slice(1, false, &campaign), golden);
+    EXPECT_EQ(run_slice(1, &campaign), golden);
     EXPECT_EQ(campaign.completed_tasks(), 4u);
   }
   // Resuming a finished campaign replays every task: bit-identical tables,
@@ -366,27 +351,27 @@ TEST(KillReplay, CompletedJournalReplaysWithoutRecompute) {
   // armed journal crash never fires (nothing is appended).
   Campaign campaign(path);
   const ScopedJournalCrash crash(1);
-  EXPECT_EQ(run_slice(1, false, &campaign), golden);
+  EXPECT_EQ(run_slice(1, &campaign), golden);
   EXPECT_EQ(campaign.completed_tasks(), 4u);
 }
 
 TEST(KillReplay, JournalingItselfDoesNotPerturbResults) {
-  const auto golden = run_slice(1, false, nullptr);
+  const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_passthrough.journal");
   Campaign campaign(path);
-  EXPECT_EQ(run_slice(8, false, &campaign), golden);
+  EXPECT_EQ(run_slice(8, &campaign), golden);
 }
 
 TEST(KillReplay, ResumeWithChangedOptionsIsRefused) {
   const std::string path = journal_path("killreplay_mismatch.journal");
   {
     Campaign campaign(path);
-    run_slice(1, false, &campaign);
+    run_slice(1, &campaign);
   }
   // Same journal, different bisection tolerance: the manifest fingerprint
   // differs and the driver must refuse instead of mixing results.
   Campaign campaign(path);
-  DefectCharacterizationOptions options = slice_options(1, false, &campaign);
+  DefectCharacterizationOptions options = slice_options(1, &campaign);
   options.rel_tolerance = 1.05;
   ChaosEngine chaos(slice_chaos_policy());
   const ChaosScope scope(chaos);
@@ -638,8 +623,7 @@ TEST(JournalBytes, ChaosTableIISliceRepeatsByteForByte) {
       ChaosEngine chaos(policy);
       const ChaosScope scope(chaos);
       Campaign campaign(path);
-      const DefectCharacterizer ch(tech(),
-                                   slice_options(threads, true, &campaign));
+      const DefectCharacterizer ch(tech(), slice_options(threads, &campaign));
       const std::vector<DefectId> defects = {16, 19};
       const std::vector<CaseStudy> cs = {case_study(1, true)};
       const auto rows = ch.table(defects, cs);
@@ -663,7 +647,7 @@ TEST(JournalBytes, ChaosTableIISliceRepeatsByteForByte) {
 TEST(Cancellation, CancelledTokenQuarantinesEveryPointAsSolveTimeout) {
   CancelToken token;
   token.cancel();
-  DefectCharacterizationOptions options = slice_options(1, false, nullptr);
+  DefectCharacterizationOptions options = slice_options(1, nullptr);
   options.cancel = &token;
   const DefectCharacterizer ch(tech(), options);
   const DefectCsResult result = ch.characterize(16, case_study(1, true));
@@ -718,7 +702,7 @@ TEST(Cancellation, LadderPollsTokenInsideNewton) {
 TEST(Cancellation, FailFastPropagatesSolveTimeoutWithCancelledFlag) {
   CancelToken token;
   token.cancel();
-  DefectCharacterizationOptions options = slice_options(1, false, nullptr);
+  DefectCharacterizationOptions options = slice_options(1, nullptr);
   options.cancel = &token;
   options.quarantine = false;
   const DefectCharacterizer ch(tech(), options);
@@ -731,11 +715,11 @@ TEST(Cancellation, FailFastPropagatesSolveTimeoutWithCancelledFlag) {
 }
 
 TEST(Cancellation, UncancelledTokenIsFree) {
-  const auto golden = run_slice(1, false, nullptr);
+  const auto golden = run_slice(1, nullptr);
   CancelToken token;  // never cancelled
   ChaosEngine chaos(slice_chaos_policy());
   const ChaosScope scope(chaos);
-  DefectCharacterizationOptions options = slice_options(1, false, nullptr);
+  DefectCharacterizationOptions options = slice_options(1, nullptr);
   options.cancel = &token;
   const DefectCharacterizer ch(tech(), options);
   const std::vector<DefectId> defects = {16, 19};

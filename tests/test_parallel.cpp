@@ -1,6 +1,7 @@
-// Tests for the parallel sweep executor, the warm-start solve cache, the
-// task-scoped observer hooks, and — the load-bearing property — bit-identical
-// sweep results at any thread count, cache on or off, under chaos.
+// Tests for the parallel sweep executor, the per-task operating-point chain,
+// the task-scoped observer hooks, and — the load-bearing property —
+// bit-identical sweep results at any thread count, on either linear kernel,
+// under chaos.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,56 +139,46 @@ TEST(SweepExecutor, DefaultThreadsReadsEnvironment) {
   EXPECT_GE(SweepExecutor::default_threads(), 1);
 }
 
-// ---------- SolveCache ------------------------------------------------------
+// ---------- OperatingPointChain --------------------------------------------
 
-TEST(SolveCache, NearestNeighbourInLogResistance) {
-  SolveCache cache;
-  const SolveCacheKey key{1, 2, 3};
-  cache.store(key, 1e3, {1.0, 2.0});
-  cache.store(key, 1e6, {3.0, 4.0});
-  EXPECT_EQ(cache.size(), 2u);
+TEST(OperatingPointChain, NearestNeighbourInLogResistance) {
+  OperatingPointChain chain;
+  const OperatingPointChain::Key key{1, 3};
+  chain.store(key, 1e3, {1.0, 2.0});
+  chain.store(key, 1e6, {3.0, 4.0});
 
-  std::vector<double> x;
   // 2e3 sits closest to the 1e3 entry...
-  ASSERT_TRUE(cache.lookup_nearest(key, 2e3, &x));
-  EXPECT_EQ(x, (std::vector<double>{1.0, 2.0}));
+  ASSERT_NE(chain.nearest(key, 2e3), nullptr);
+  EXPECT_EQ(*chain.nearest(key, 2e3), (std::vector<double>{1.0, 2.0}));
   // ...1e5 is one decade from 1e6 but two from 1e3.
-  ASSERT_TRUE(cache.lookup_nearest(key, 1e5, &x));
-  EXPECT_EQ(x, (std::vector<double>{3.0, 4.0}));
-  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(*chain.nearest(key, 1e5), (std::vector<double>{3.0, 4.0}));
+
+  // 2 ohm is as far from 1 ohm as from 4 ohm in log R: the lower one wins.
+  chain.store(key, 1.0, {5.0});
+  chain.store(key, 4.0, {6.0});
+  EXPECT_EQ(*chain.nearest(key, 2.0), (std::vector<double>{5.0}));
 }
 
-TEST(SolveCache, KeysIsolateCircuitTaskAndDefect) {
-  SolveCache cache;
-  cache.store(SolveCacheKey{1, 2, 3}, 1e3, {1.0});
-  std::vector<double> x;
-  EXPECT_FALSE(cache.lookup_nearest(SolveCacheKey{9, 2, 3}, 1e3, &x));
-  EXPECT_FALSE(cache.lookup_nearest(SolveCacheKey{1, 9, 3}, 1e3, &x));
-  EXPECT_FALSE(cache.lookup_nearest(SolveCacheKey{1, 2, 9}, 1e3, &x));
-  EXPECT_TRUE(cache.lookup_nearest(SolveCacheKey{1, 2, 3}, 1e3, &x));
-  EXPECT_EQ(cache.misses(), 3u);
+// Tasks are isolated by construction: each SweepTask owns its chain. Within
+// one chain, circuit state and defect keep points apart.
+TEST(OperatingPointChain, KeysIsolateCircuitAndDefect) {
+  OperatingPointChain chain;
+  EXPECT_EQ(chain.nearest({1, 3}, 1e3), nullptr);
+  chain.store({1, 3}, 1e3, {1.0});
+  EXPECT_EQ(chain.nearest({9, 3}, 1e3), nullptr);
+  EXPECT_EQ(chain.nearest({1, 9}, 1e3), nullptr);
+  EXPECT_NE(chain.nearest({1, 3}, 1e3), nullptr);
+  const OperatingPointChain other_task;
+  EXPECT_EQ(other_task.nearest({1, 3}, 1e3), nullptr);
 }
 
-TEST(SolveCache, StoreReplacesExactResistance) {
-  SolveCache cache;
-  const SolveCacheKey key{1, 1, 1};
-  cache.store(key, 1e4, {1.0});
-  cache.store(key, 1e4, {2.0});
-  EXPECT_EQ(cache.size(), 1u);
-  std::vector<double> x;
-  ASSERT_TRUE(cache.lookup_nearest(key, 1e4, &x));
-  EXPECT_EQ(x, (std::vector<double>{2.0}));
-}
-
-TEST(SolveCache, ClearEmptiesAllShards) {
-  SolveCache cache;
-  for (std::uint64_t i = 0; i < 64; ++i)
-    cache.store(SolveCacheKey{i, i, 0}, 1e3, {1.0});
-  EXPECT_EQ(cache.size(), 64u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  std::vector<double> x;
-  EXPECT_FALSE(cache.lookup_nearest(SolveCacheKey{1, 1, 0}, 1e3, &x));
+TEST(OperatingPointChain, StoreReplacesExactResistance) {
+  OperatingPointChain chain;
+  const OperatingPointChain::Key key{1, 1};
+  chain.store(key, 1e4, {1.0});
+  chain.store(key, 1e4, {2.0});
+  ASSERT_NE(chain.nearest(key, 1e4), nullptr);
+  EXPECT_EQ(*chain.nearest(key, 1e4), (std::vector<double>{2.0}));
 }
 
 // ---------- task-scoped observer hooks -------------------------------------
@@ -258,12 +249,12 @@ TEST(TaskObserver, ChaosForkDecisionsDependOnlyOnTaskKey) {
   EXPECT_NE(a, c);   // different task: reseeded stream
 }
 
-// ---------- regulator + cache integration ----------------------------------
+// ---------- regulator + chain integration ----------------------------------
 
 TEST(RegulatorCache, ColdStartsSeedFromNearestNeighbour) {
-  SolveCache cache;
+  OperatingPointChain chain;
   VoltageRegulator reg(tech(), Corner::Typical);
-  reg.set_solve_cache(&cache, 1);
+  reg.start_task(&chain);
   reg.set_regon(true);
   reg.set_power_switch(false);
 
@@ -274,23 +265,26 @@ TEST(RegulatorCache, ColdStartsSeedFromNearestNeighbour) {
   EXPECT_GE(reg.solve_telemetry().cache_stores, 1u);
 
   // Next bisection probe: inject_defect cleared the warm start, but the
-  // cache supplies the neighbouring operating point.
+  // chain supplies the neighbouring operating point.
   reg.inject_defect(16, 2e5);
   const double v2 = reg.vreg_dc(25.0);
   EXPECT_EQ(reg.solve_telemetry().cache_hits, 1u);
-  // The cache seed entered through the warm-start rung.
+  // The chain's seed entered through the warm-start rung.
   EXPECT_GE(reg.solve_telemetry().warm_hits, 1u);
   (void)v1;
 
-  // The cached seed accelerates the solve but must not distort it: a fresh
-  // cache-less regulator lands on the same operating point.
+  // The seed accelerates the solve but must not distort it: a fresh
+  // chain-less regulator lands on the same operating point.
   VoltageRegulator reference(tech(), Corner::Typical);
   reference.inject_defect(16, 2e5);
   EXPECT_NEAR(v2, reference.vreg_dc(25.0), 1e-6);
 }
 
 TEST(RegulatorCache, DetachingStopsCounting) {
+  OperatingPointChain chain;
   VoltageRegulator reg(tech(), Corner::Typical);
+  reg.start_task(&chain);
+  reg.start_task(nullptr);
   reg.set_regon(true);
   reg.set_power_switch(false);
   reg.vreg_dc(25.0);
@@ -301,13 +295,12 @@ TEST(RegulatorCache, DetachingStopsCounting) {
 
 // ---------- determinism across thread counts (the tentpole contract) --------
 
-DefectCharacterizationOptions sweep_options(int threads, bool solve_cache) {
+DefectCharacterizationOptions sweep_options(int threads) {
   DefectCharacterizationOptions o;
   o.pvt = {PvtPoint{Corner::FastNSlowP, 1.0, 125.0},
            PvtPoint{Corner::Typical, 1.1, 125.0}};
   o.rel_tolerance = 1.10;
   o.threads = threads;
-  o.solve_cache = solve_cache;
   return o;
 }
 
@@ -349,8 +342,7 @@ CellFingerprint fingerprint(const DefectCsResult& result) {
   return fp;
 }
 
-std::vector<CellFingerprint> run_sweep(
-    int threads, bool solve_cache, Kernel solver = Kernel::Production) {
+std::vector<CellFingerprint> run_sweep(int threads, Kernel solver) {
   // Pin the whole sweep (every Newton solve down the stack) onto one linear
   // kernel: the production sparse LU or the dense reference.
   const ScopedKernelConfig kernel(&KernelConfig::linear_solver, solver);
@@ -365,7 +357,7 @@ std::vector<CellFingerprint> run_sweep(
   ChaosEngine chaos(policy);
   const ChaosScope scope(chaos);
 
-  const DefectCharacterizer ch(tech(), sweep_options(threads, solve_cache));
+  const DefectCharacterizer ch(tech(), sweep_options(threads));
   const std::vector<DefectId> defects = {16, 19};
   const std::vector<CaseStudy> cs = {case_study(1, true)};
   const auto rows = ch.table(defects, cs);
@@ -376,36 +368,24 @@ std::vector<CellFingerprint> run_sweep(
   return fps;
 }
 
-TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsCacheOff) {
-  const auto serial = run_sweep(1, false);
-  EXPECT_EQ(run_sweep(2, false), serial);
-  EXPECT_EQ(run_sweep(8, false), serial);
-}
-
-TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsCacheOn) {
-  const auto serial = run_sweep(1, true);
-  EXPECT_EQ(run_sweep(2, true), serial);
-  EXPECT_EQ(run_sweep(8, true), serial);
-  // The cache actually engaged (bisection probes after the first find a
+// The determinism contract holds separately on each linear kernel: the
+// sparse/dense choice may change which operating point a solve lands on by
+// last-ulp amounts, but thread count never may.
+TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsSparseKernel) {
+  const auto serial = run_sweep(1, Kernel::Production);
+  EXPECT_EQ(run_sweep(2, Kernel::Production), serial);
+  EXPECT_EQ(run_sweep(8, Kernel::Production), serial);
+  // The chain actually engaged (bisection probes after the first find a
   // neighbour).
   std::uint64_t hits = 0;
   for (const auto& fp : serial) hits += fp.cache_hits;
   EXPECT_GT(hits, 0u);
 }
 
-// The determinism contract holds separately on each linear kernel: like the
-// solve cache, the sparse/dense choice may change which operating point a
-// solve lands on by last-ulp amounts, but thread count never may.
-TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsSparseKernel) {
-  const auto serial = run_sweep(1, false, Kernel::Production);
-  EXPECT_EQ(run_sweep(2, false, Kernel::Production), serial);
-  EXPECT_EQ(run_sweep(8, false, Kernel::Production), serial);
-}
-
 TEST(SweepDeterminism, BitIdenticalAcrossThreadCountsDenseKernel) {
-  const auto serial = run_sweep(1, false, Kernel::Reference);
-  EXPECT_EQ(run_sweep(2, false, Kernel::Reference), serial);
-  EXPECT_EQ(run_sweep(8, false, Kernel::Reference), serial);
+  const auto serial = run_sweep(1, Kernel::Reference);
+  EXPECT_EQ(run_sweep(2, Kernel::Reference), serial);
+  EXPECT_EQ(run_sweep(8, Kernel::Reference), serial);
 }
 
 // ---------- per-task solver state -------------------------------------------
@@ -493,7 +473,7 @@ TEST(TaskSolverState, ObserversCannotReachTheCanonicalAnalysis) {
   // same path, solve for solve.
   VoltageRegulator quiet(tech(), Corner::Typical);
   for (VoltageRegulator* reg : {&quiet, &*under_chaos}) {
-    reg->set_solve_cache(nullptr, 1);
+    reg->start_task(nullptr);
     reg->set_regon(true);
     reg->set_power_switch(false);
     for (const double ohms : {1e3, 1e5, 1e7}) {
