@@ -175,8 +175,7 @@ ChaosPolicy slice_chaos_policy() {
 std::vector<CellFingerprint> run_slice(int threads, Campaign* campaign) {
   ChaosEngine chaos(slice_chaos_policy());
   const ChaosScope scope(chaos);
-  const DefectCharacterizer ch(tech(),
-                               slice_options(threads, campaign));
+  const DefectCharacterizer ch(tech(), slice_options(threads, campaign));
   const std::vector<DefectId> defects = {16, 19};
   const std::vector<CaseStudy> cs = {case_study(1, true)};
   const auto rows = ch.table(defects, cs);
@@ -256,9 +255,9 @@ TEST(KillReplay, EveryRecordBoundaryEightThreads) {
 }
 
 // A legacy journal holds a type-3 operating-point record for every point a
-// task stored, each before its task's TaskDone. Such a journal
-// must still resume: its committed tasks replay and none re-runs, and
-// compaction and merge drop its points.
+// task stored, each before its task's TaskDone. Such a journal must still
+// resume: its committed tasks replay and none re-runs, and compaction and
+// merge drop its points.
 TEST(KillReplay, JournalWithLegacyOpPointsResumes) {
   const auto golden = run_slice(1, nullptr);
   const std::string path = journal_path("killreplay_legacy_ops.journal");
