@@ -459,8 +459,8 @@ TEST(ExactOutputs, MatchTheCommittedGolden) {
     const std::string got = i < dump.size() ? dump[i] : "(none)";
     if (want == got) continue;
     if (++differing <= 20)
-      first << "line " << i + 1 << "\n  golden: " << want
-            << "\n  now:    " << got << "\n";
+      first << "entry " << i + 1 << " (comments skipped)\n"
+            << "  golden: " << want << "\n  now:    " << got << "\n";
   }
   if (differing == 0) return;
 
@@ -470,7 +470,7 @@ TEST(ExactOutputs, MatchTheCommittedGolden) {
     for (const std::string& line : dump) out << line << "\n";
   }
   ADD_FAILURE() << differing << " of " << golden.size()
-                << " golden lines differ; the first:\n"
+                << " golden entries differ; the first:\n"
                 << first.str() << "this run's dump: " << LPSRAM_GOLDEN_DUMP;
 }
 
